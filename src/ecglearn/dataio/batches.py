@@ -3,10 +3,11 @@
 Per record the pipeline runs in the fixed order
 filter -> length regularization -> segment extraction -> normalization ->
 augmentation. Filtering and length capping are record-level and deterministic,
-so they are cached once at loader construction. Training iterations shuffle,
-draw a fresh random segment start per record, and augment; validation/test
-iterations use start-0 segments and no augmentation, so two passes yield
-identical tensors.
+so they are cached once at loader construction. The whole split goes through
+one stacked bandpass call, which filters records of equal length in one pass
+instead of one record at a time. Training iterations shuffle, draw a fresh
+random segment start per record, and augment; validation/test iterations use
+start-0 segments and no augmentation, so two passes yield identical tensors.
 
 Every random draw comes from a substream keyed by (seed, purpose, epoch,
 record index), which makes the stream independent of iteration scheduling.
@@ -57,10 +58,10 @@ class BatchLoader:
         self.training = bool(training)
 
         # record-level deterministic stages, done once
+        if filter_spec is not None:
+            records = butterworth_bandpass(records, filter_spec)
         prepared = []
         for rec in records:
-            if filter_spec is not None:
-                rec = butterworth_bandpass(rec, filter_spec)
             if max_len is not None and rec.n_samples > max_len:
                 rec = pad_or_truncate(rec, max_len)
             if rec.n_samples < self.segment_len:

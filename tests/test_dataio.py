@@ -12,8 +12,10 @@ from ecglearn.dataio import (BatchLoader, DatasetManifest, LabelVector,
                              split_indices, stratified_kfold,
                              write_wfdb_record)
 from ecglearn.dataio.synthetic import class_frequency
+from ecglearn.augment import AugmentConfig
 from ecglearn.errors import DataError, SplitError
-from ecglearn.signal import EcgRecord
+from ecglearn.signal import EcgRecord, FilterSpec, design_butterworth_bandpass
+from oracles import oracle_bandpass
 
 
 class TestWfdbRecords:
@@ -254,3 +256,28 @@ class TestBatchLoader:
         task = TaskSpec(kind=TaskKind.BINARY, classes=("positive",))
         with pytest.raises(DataError, match="empty split"):
             BatchLoader([], task, batch_size=4, segment_len=100)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_filtering_loader_equals_prefiltered_records(self, training):
+        # mixed lengths: some above max_len, some below segment_len
+        m, recs = generate_synthetic_dataset(2, 4, TaskKind.MULTICLASS,
+                                             seed=23, length=400, n_folds=4)
+        lengths = [400, 400, 90, 300, 60, 400, 250, 90]
+        recs = [EcgRecord(r.signal[:, :n], r.fs, r.id, r.labels)
+                for r, n in zip(recs, lengths)]
+        spec = FilterSpec(fs=recs[0].fs)
+        sections = design_butterworth_bandpass(spec)
+        prefiltered = [EcgRecord(oracle_bandpass(r.signal, r.fs, sections),
+                                 r.fs, r.id, r.labels) for r in recs]
+        kwargs = dict(batch_size=3, segment_len=128, max_len=350,
+                      augment=AugmentConfig(), seed=4, training=training)
+        filtering = BatchLoader(recs, m.task, filter_spec=spec, **kwargs)
+        plain = BatchLoader(prefiltered, m.task, **kwargs)
+        for a, b in zip(filtering.records, plain.records):
+            assert a.signal.flags.c_contiguous
+            assert np.array_equal(a.signal, b.signal)
+        for epoch in (0, 1):
+            pairs = list(zip(filtering.batches(epoch), plain.batches(epoch)))
+            assert len(pairs) == 3
+            for (xa, ya), (xb, yb) in pairs:
+                assert np.array_equal(xa, xb) and np.array_equal(ya, yb)

@@ -1,0 +1,48 @@
+"""The benchmark's tracer patches public names of the package by their
+dotted location; renaming or moving one of them must fail here, not only
+when the benchmark runs."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def tracer_module():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracer
+        yield tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_round_patches_every_name_and_restores_it(tracer_module):
+    import ecglearn.dataio.batches as batches
+    from ecglearn.dataio import LabelVector, TaskKind, TaskSpec
+    from ecglearn.signal import EcgRecord, FilterSpec
+
+    task = TaskSpec(kind=TaskKind.BINARY, classes=("positive",))
+    records = [EcgRecord(np.random.default_rng(i).normal(size=(12, n)), 500.0,
+                         id=f"r{i}", labels=LabelVector(task, np.array([i % 2])))
+               for i, n in enumerate((300, 300, 200))]
+
+    tracer = tracer_module.Tracer()
+    with tracer.round():     # every patched name resolved, or this raises
+        patched = list(tracer._patches)
+        assert patched
+        for owner, attr, original in patched:
+            assert getattr(owner, attr) is not original, attr
+        assert any(owner is batches and attr == "butterworth_bandpass"
+                   for owner, attr, _ in patched)
+        batches.BatchLoader(records, task, batch_size=2, segment_len=128,
+                            filter_spec=FilterSpec(fs=500.0))
+    for owner, attr, original in patched:
+        assert getattr(owner, attr) is original, attr
+    # one loader, one bandpass call over all of its records
+    assert tracer.stats["dataio.loader_build"][0] == 1
+    assert tracer.stats["signal.bandpass"][0] == 1

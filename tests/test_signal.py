@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import ecglearn.signal as signal_module
 from ecglearn.errors import SignalError
 from ecglearn.signal import (EcgRecord, FilterSpec, NormalizationMethod,
                              SegmentSpec, analytic_bandpass_gain,
                              butterworth_bandpass, design_butterworth_bandpass,
                              extract_segment_at, filtfilt_sos, normalize,
-                             normalize_array, pad_or_truncate, segment_extract)
+                             normalize_array, pad_or_truncate, segment_extract,
+                             sosfilt)
+from oracles import oracle_bandpass, oracle_filtfilt, oracle_sosfilt
 
 
 def make_record(signal, fs=500.0, rid="r0"):
@@ -84,6 +87,100 @@ class TestButterworthBandpass:
         rec = make_record(np.random.default_rng(2).normal(size=(12, 777)))
         out = butterworth_bandpass(rec, self.SPEC)
         assert out.signal.shape == (12, 777)
+
+
+class TestStackedBandpass:
+    """The time-major, stacked filter against the lane-major reference loop."""
+
+    SPEC = FilterSpec(fs=500.0, order=2, low_cut=1.0, high_cut=45.0)
+    SECTIONS = design_butterworth_bandpass(SPEC)
+    LENGTHS = (5000, 5000, 700, 300, 2, 1)
+
+    def records(self, lengths=LENGTHS, seed=20):
+        rng = np.random.default_rng(seed)
+        return [make_record(rng.normal(size=(12, n)), rid=f"r{i}")
+                for i, n in enumerate(lengths)]
+
+    def test_list_matches_per_record_oracle_bitwise(self):
+        recs = self.records()
+        out = butterworth_bandpass(recs, self.SPEC)
+        assert isinstance(out, list) and len(out) == len(recs)
+        for rec, got in zip(recs, out):
+            ref = oracle_bandpass(rec.signal, rec.fs, self.SECTIONS)
+            assert np.array_equal(got.signal, ref), rec.id
+
+    def test_single_record_matches_oracle_bitwise(self):
+        rec = self.records((777,))[0]
+        out = butterworth_bandpass(rec, self.SPEC)
+        assert isinstance(out, EcgRecord)
+        assert np.array_equal(out.signal,
+                              oracle_bandpass(rec.signal, rec.fs, self.SECTIONS))
+
+    def test_order_ids_and_contiguity_preserved(self):
+        recs = self.records((300, 5000, 1, 300, 700, 2, 5000))
+        out = butterworth_bandpass(recs, self.SPEC)
+        assert [r.id for r in out] == [r.id for r in recs]
+        assert [r.n_samples for r in out] == [r.n_samples for r in recs]
+        for rec in out:
+            assert rec.signal.flags.c_contiguous
+            assert rec.signal.base is None    # holds no stacked buffer
+
+    def test_inputs_not_mutated(self):
+        recs = self.records((700, 700))
+        before = [r.signal.copy() for r in recs]
+        butterworth_bandpass(recs, self.SPEC)
+        for rec, sig in zip(recs, before):
+            assert np.array_equal(rec.signal, sig)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        monkeypatch.setattr(signal_module, "_BANDPASS_CHUNK", 2)
+        recs = self.records((400, 400, 90, 400, 400, 400, 90))
+        out = butterworth_bandpass(recs, self.SPEC)
+        for rec, got in zip(recs, out):
+            ref = oracle_bandpass(rec.signal, rec.fs, self.SECTIONS)
+            assert np.array_equal(got.signal, ref), rec.id
+
+    def test_explicit_padlen_applies_to_every_record(self):
+        recs = self.records((600, 50))
+        out = butterworth_bandpass(recs, self.SPEC, padlen=100)
+        for rec, got in zip(recs, out):
+            ref = oracle_filtfilt(self.SECTIONS, rec.signal, 100)
+            assert np.array_equal(got.signal, ref), rec.id
+
+    def test_empty_list(self):
+        assert butterworth_bandpass([], self.SPEC) == []
+
+    def test_fs_mismatch_inside_list(self):
+        recs = self.records((100, 100))
+        recs.append(make_record(np.zeros((12, 100)), fs=250.0, rid="odd"))
+        with pytest.raises(SignalError, match="fs=500.*fs=250"):
+            butterworth_bandpass(recs, self.SPEC)
+
+    def test_default_spec_follows_first_record(self):
+        recs = self.records((300, 300))
+        out = butterworth_bandpass(recs)
+        for rec, got in zip(recs, out):
+            ref = oracle_bandpass(rec.signal, rec.fs, self.SECTIONS)
+            assert np.array_equal(got.signal, ref)
+
+    def test_filtfilt_stack_equals_per_slice_loop(self):
+        x = np.random.default_rng(21).normal(size=(3, 12, 900))
+        stacked = filtfilt_sos(self.SECTIONS, x, padlen=500)
+        assert stacked.shape == x.shape and stacked.flags.c_contiguous
+        for i in range(len(x)):
+            assert np.array_equal(stacked[i],
+                                  filtfilt_sos(self.SECTIONS, x[i], padlen=500))
+            assert np.array_equal(stacked[i],
+                                  oracle_filtfilt(self.SECTIONS, x[i], 500))
+
+    @pytest.mark.parametrize("shape", [(400,), (12, 400), (2, 3, 400), (12, 1)])
+    def test_sosfilt_matches_oracle(self, shape):
+        x = np.random.default_rng(22).normal(size=shape)
+        before = x.copy()
+        out = sosfilt(self.SECTIONS, x)
+        assert np.array_equal(out, oracle_sosfilt(self.SECTIONS, x))
+        assert out.shape == shape and out.flags.c_contiguous
+        assert np.array_equal(x, before)
 
 
 class TestSegmentExtract:
