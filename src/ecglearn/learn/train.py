@@ -18,7 +18,7 @@ from ..dataio.batches import BatchLoader
 from ..dataio.labels import TaskKind
 from ..errors import TrainingDivergedError
 from ..models.architectures import Model
-from ..tensor import Tensor, no_grad
+from ..tensor import Tensor, no_grad, stable_sigmoid
 from .metrics import MetricsReport, compute_metrics
 from .optim import Adam, OptimizerConfig
 
@@ -49,12 +49,7 @@ def _scores_from_logits(logits: np.ndarray, kind: TaskKind) -> np.ndarray:
         z = z - z.max(axis=1, keepdims=True)
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    return stable_sigmoid(z)
 
 
 def evaluate(model: Model, loader: BatchLoader,

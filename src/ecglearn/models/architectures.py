@@ -18,11 +18,12 @@ into the head.
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 
 from ..errors import ModelError, ShapeError
-from ..seeding import substream
+from ..seeding import child_rng, substream
 from ..signal import N_LEADS
 from ..tensor import Parameter, Tensor
 from ..tensor import functional as F
@@ -38,10 +39,6 @@ from .spec import ModelSpec
 __all__ = ["Model", "build", "summarize_parameters"]
 
 HEAD_PREFIX = "head."
-
-
-def _child_rng(rng: np.random.Generator) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(rng.integers(0, 2 ** 63)))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +60,7 @@ class AlexNetBackbone(Module):
             MaxPool1d(3, 2),
         )
         self.pool = GlobalAvgPool1d()
-        self.drop = Dropout(hp["dropout"], _child_rng(rng))
+        self.drop = Dropout(hp["dropout"], child_rng(rng))
         self.out_features = 4 * w
 
     def forward(self, x: Tensor) -> Tensor:
@@ -120,13 +117,13 @@ class GridConvBackbone(Module):
         self.bn2 = BatchNorm2d(f1 * d, dtype)
         self.act = ELU()
         self.pool1 = AvgPool2d((1, 4))
-        self.drop1 = Dropout(hp["dropout"], _child_rng(rng))
+        self.drop1 = Dropout(hp["dropout"], child_rng(rng))
         self.sep_depth = DepthwiseConv2d(f1 * d, 1, (1, 16), rng,
                                          padding=(0, 8), dtype=dtype, bias=False)
         self.sep_point = Conv2d(f1 * d, f2, (1, 1), rng, dtype=dtype, bias=False)
         self.bn3 = BatchNorm2d(f2, dtype)
         self.pool2 = AvgPool2d((1, 8))
-        self.drop2 = Dropout(hp["dropout"], _child_rng(rng))
+        self.drop2 = Dropout(hp["dropout"], child_rng(rng))
         self.out_features = f2
 
     def forward(self, x: Tensor) -> Tensor:
@@ -144,7 +141,7 @@ class GridConvBackbone(Module):
 
 
 class CrnnBackbone(Module):
-    def __init__(self, hp, kind: str, rng, dtype):
+    def __init__(self, hp, rng, dtype, kind: str):
         super().__init__()
         self.resnet = ResNetBackbone1d(N_LEADS, hp["base_width"], rng, dtype)
         self.rnn = RecurrentStack(kind, self.resnet.out_channels,
@@ -157,7 +154,10 @@ class CrnnBackbone(Module):
         return final
 
 
-class AttResNetBackbone(Module):
+class _ResNetTokens(Module):
+    """Registers the ResNet front end, whose feature sequence is the token
+    sequence, so ``embed_dim`` must equal its feature width."""
+
     def __init__(self, hp, rng, dtype):
         super().__init__()
         self.resnet = ResNetBackbone1d(N_LEADS, hp["base_width"], rng, dtype)
@@ -165,63 +165,69 @@ class AttResNetBackbone(Module):
             raise ModelError(
                 f"embed_dim {hp['embed_dim']} must equal the feature width "
                 f"{self.resnet.out_channels} (8 * base_width)")
-        self.attn = SelfAttention(hp["embed_dim"], hp["num_heads"], rng, dtype)
         self.out_features = hp["embed_dim"]
 
+    def _tokens(self, x: Tensor) -> Tensor:
+        return self.resnet(x).transpose(0, 2, 1)   # [B, T, C]
+
+
+class _EncoderStack(Module):
+    """Learned positions, pre-norm encoder layers ``enc{i}`` and a final
+    layer norm over a token sequence, mean-pooled over tokens.
+
+    A subclass registers its front end first, then calls ``_add_encoder``;
+    that order fixes the parameter names and the initialization draws. No
+    ``__init__`` here, so a front-end base can come first in the bases.
+    """
+
+    def _add_encoder(self, hp, rng, dtype):
+        e = hp["embed_dim"]
+        self.posemb = LearnedPositionalEmbedding(hp["max_tokens"], e, rng, dtype)
+        for li in range(hp["num_layers"]):
+            setattr(self, f"enc{li}",
+                    TransformerEncoderLayer(e, hp["num_heads"], hp["ffn_dim"],
+                                            hp["dropout"], rng, dtype))
+        self.num_layers = hp["num_layers"]
+        self.final_ln = LayerNorm(e, dtype)
+        self.out_features = e
+
+    def _encode(self, seq: Tensor) -> Tensor:
+        seq = self.posemb(seq)
+        for li in range(self.num_layers):
+            seq = getattr(self, f"enc{li}")(seq)
+        return self.final_ln(seq).mean(axis=1)
+
+
+class AttResNetBackbone(_ResNetTokens):
+    def __init__(self, hp, rng, dtype):
+        super().__init__(hp, rng, dtype)
+        self.attn = SelfAttention(hp["embed_dim"], hp["num_heads"], rng, dtype)
+
     def forward(self, x: Tensor) -> Tensor:
-        seq = self.resnet(x).transpose(0, 2, 1)
+        seq = self._tokens(x)
         seq = seq + self.attn(seq)
         return seq.mean(axis=1)
 
 
-class TransformerBackbone(Module):
+class TransformerBackbone(_EncoderStack):
     def __init__(self, hp, rng, dtype):
         super().__init__()
-        e = hp["embed_dim"]
-        self.stem = Conv1d(N_LEADS, e, hp["stem_kernel"], rng,
+        self.stem = Conv1d(N_LEADS, hp["embed_dim"], hp["stem_kernel"], rng,
                            stride=hp["stem_stride"],
                            padding=hp["stem_kernel"] // 2, dtype=dtype)
-        self.posemb = LearnedPositionalEmbedding(hp["max_tokens"], e, rng, dtype)
-        for li in range(hp["num_layers"]):
-            setattr(self, f"enc{li}",
-                    TransformerEncoderLayer(e, hp["num_heads"], hp["ffn_dim"],
-                                            hp["dropout"], rng, dtype))
-        self.num_layers = hp["num_layers"]
-        self.final_ln = LayerNorm(e, dtype)
-        self.out_features = e
+        self._add_encoder(hp, rng, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        seq = self.stem(x).transpose(0, 2, 1)
-        seq = self.posemb(seq)
-        for li in range(self.num_layers):
-            seq = getattr(self, f"enc{li}")(seq)
-        return self.final_ln(seq).mean(axis=1)
+        return self._encode(self.stem(x).transpose(0, 2, 1))
 
 
-class ResTransformerBackbone(Module):
+class ResTransformerBackbone(_ResNetTokens, _EncoderStack):
     def __init__(self, hp, rng, dtype):
-        super().__init__()
-        self.resnet = ResNetBackbone1d(N_LEADS, hp["base_width"], rng, dtype)
-        e = hp["embed_dim"]
-        if e != self.resnet.out_channels:
-            raise ModelError(
-                f"embed_dim {e} must equal the feature width "
-                f"{self.resnet.out_channels} (8 * base_width)")
-        self.posemb = LearnedPositionalEmbedding(hp["max_tokens"], e, rng, dtype)
-        for li in range(hp["num_layers"]):
-            setattr(self, f"enc{li}",
-                    TransformerEncoderLayer(e, hp["num_heads"], hp["ffn_dim"],
-                                            hp["dropout"], rng, dtype))
-        self.num_layers = hp["num_layers"]
-        self.final_ln = LayerNorm(e, dtype)
-        self.out_features = e
+        super().__init__(hp, rng, dtype)
+        self._add_encoder(hp, rng, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        seq = self.resnet(x).transpose(0, 2, 1)
-        seq = self.posemb(seq)
-        for li in range(self.num_layers):
-            seq = getattr(self, f"enc{li}")(seq)
-        return self.final_ln(seq).mean(axis=1)
+        return self._encode(self._tokens(x))
 
 
 class Classifier(Module):
@@ -236,15 +242,15 @@ class Classifier(Module):
 
 
 _BUILDERS = {
-    "AlexNet1D": lambda hp, rng, dt: AlexNetBackbone(hp, rng, dt),
-    "VGG11bn1D": lambda hp, rng, dt: VggBackbone(hp, rng, dt),
-    "ResNet18_1D": lambda hp, rng, dt: ResNetClassifierBackbone(hp, rng, dt),
-    "EEGNet2D": lambda hp, rng, dt: GridConvBackbone(hp, rng, dt),
-    "CRNN_LSTM": lambda hp, rng, dt: CrnnBackbone(hp, "lstm", rng, dt),
-    "CRNN_GRU": lambda hp, rng, dt: CrnnBackbone(hp, "gru", rng, dt),
-    "AttResNet": lambda hp, rng, dt: AttResNetBackbone(hp, rng, dt),
-    "TransformerEnc": lambda hp, rng, dt: TransformerBackbone(hp, rng, dt),
-    "ResTransformer": lambda hp, rng, dt: ResTransformerBackbone(hp, rng, dt),
+    "AlexNet1D": AlexNetBackbone,
+    "VGG11bn1D": VggBackbone,
+    "ResNet18_1D": ResNetClassifierBackbone,
+    "EEGNet2D": GridConvBackbone,
+    "CRNN_LSTM": partial(CrnnBackbone, kind="lstm"),
+    "CRNN_GRU": partial(CrnnBackbone, kind="gru"),
+    "AttResNet": AttResNetBackbone,
+    "TransformerEnc": TransformerBackbone,
+    "ResTransformer": ResTransformerBackbone,
 }
 
 _MIN_INPUT_LEN = {

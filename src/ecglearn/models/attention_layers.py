@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError
+from ..seeding import child_rng
 from ..tensor import Parameter, Tensor, multihead_attention
 from ..tensor import functional as F
 from ..tensor import init
@@ -47,13 +48,11 @@ class TransformerEncoderLayer(Module):
         super().__init__()
         self.ln1 = LayerNorm(embed_dim, dtype)
         self.attn = SelfAttention(embed_dim, num_heads, rng, dtype)
-        self.drop1 = Dropout(dropout, np.random.Generator(np.random.Philox(
-            rng.integers(0, 2 ** 63))))
+        self.drop1 = Dropout(dropout, child_rng(rng))
         self.ln2 = LayerNorm(embed_dim, dtype)
         self.ffn1 = Linear(embed_dim, ffn_dim, rng, dtype, init_kind="he")
         self.ffn2 = Linear(ffn_dim, embed_dim, rng, dtype, init_kind="xavier")
-        self.drop2 = Dropout(dropout, np.random.Generator(np.random.Philox(
-            rng.integers(0, 2 ** 63))))
+        self.drop2 = Dropout(dropout, child_rng(rng))
 
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.drop1(self.attn(self.ln1(x)))

@@ -28,9 +28,9 @@ from .signal import FilterSpec
 from .transfer import (FineTuneMode, adapt_head, finetune, load_checkpoint,
                        save_checkpoint)
 
-__all__ = ["default_output_root", "prepare_run_dir", "resolve_data",
-           "run_train", "run_finetune", "run_evaluate", "run_sweep",
-           "run_report", "RADIAL_KEYS"]
+__all__ = ["default_output_root", "prepare_run_dir", "run_train",
+           "run_finetune", "run_evaluate", "run_sweep", "run_report",
+           "RADIAL_KEYS"]
 
 OUTPUT_ROOT_ENV = "ECGLEARN_RUNS"
 RADIAL_KEYS = ("auc", "sensitivity", "specificity", "ppv")
@@ -81,10 +81,6 @@ class ResolvedData:
             seed=self._cfg.seed, training=training)
 
 
-def resolve_data(cfg: RunConfig) -> ResolvedData:
-    return ResolvedData(cfg)
-
-
 def _make_loss(cfg: RunConfig, data: ResolvedData):
     if cfg.loss.kind == "focal":
         return lambda logits, y: focal_loss(logits, y, gamma=cfg.loss.gamma,
@@ -130,7 +126,7 @@ def _snapshot(cfg: RunConfig, run_dir: Path, extra: dict | None = None):
 
 def run_train(cfg: RunConfig, log=None) -> Path:
     """Train from scratch per the config; returns the run directory."""
-    data = resolve_data(cfg)
+    data = ResolvedData(cfg)
     run_dir = prepare_run_dir(cfg, f"train-{cfg.model.architecture}")
     _snapshot(cfg, run_dir)
     spec = ModelSpec(cfg.model.architecture, data.manifest.task,
@@ -160,7 +156,7 @@ def run_finetune(cfg: RunConfig, checkpoint_path: str | Path,
         raise ConfigError(
             "config hyperparams conflict with the checkpoint; fine-tuning "
             f"must reuse {ckpt.spec.hyperparams}")
-    data = resolve_data(cfg)
+    data = ResolvedData(cfg)
     run_dir = prepare_run_dir(cfg, f"finetune-{ckpt.spec.architecture}")
     _snapshot(cfg, run_dir, extra={"from_checkpoint": str(checkpoint_path),
                                    "mode": FineTuneMode(mode).value})
@@ -178,7 +174,7 @@ def run_evaluate(checkpoint_path: str | Path, cfg: RunConfig,
                  split: str = "test") -> dict:
     """Evaluate a checkpoint on a dataset split; returns the report dict."""
     ckpt = load_checkpoint(checkpoint_path)
-    data = resolve_data(cfg)
+    data = ResolvedData(cfg)
     if ckpt.spec.task != data.manifest.task:
         raise ConfigError(
             f"checkpoint task {ckpt.spec.task.to_dict()} does not match "

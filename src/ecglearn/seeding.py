@@ -13,7 +13,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["substream"]
+__all__ = ["substream", "child_rng"]
 
 
 def _path_element(x) -> int:
@@ -31,3 +31,12 @@ def substream(seed: int, *path) -> np.random.Generator:
     key = tuple(_path_element(x) for x in path)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
+
+
+def child_rng(rng: np.random.Generator) -> np.random.Generator:
+    """Return a new generator keyed by one draw from ``rng``.
+
+    The draw advances ``rng``, so children taken in the same order from
+    the same parent stream are the same.
+    """
+    return np.random.Generator(np.random.Philox(rng.integers(0, 2 ** 63)))

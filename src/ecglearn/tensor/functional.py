@@ -1,10 +1,11 @@
 """Differentiable neural-network primitives on top of the Tensor graph.
 
 Convolutions are computed directly (im2col + BLAS matmul, no FFT), which is
-exact and fast enough at the signal lengths this package targets. Every op
-validates its shape algebra up front and raises ShapeError naming the op and
-the offending dimensions; a conforming call always produces the documented
-output shape.
+exact and fast enough at the signal lengths this package targets. Every
+window op's backward pass sums its window gradients back through one col2im
+scatter. Every op validates its shape algebra up front and raises ShapeError
+naming the op and the offending dimensions; a conforming call always produces
+the documented output shape.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, stable_sigmoid
 
 __all__ = [
     "relu", "elu", "softmax", "logsigmoid", "dropout", "concat", "linear",
@@ -54,17 +55,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def logsigmoid(x: Tensor) -> Tensor:
     """log(sigmoid(x)) computed without overflow in either tail."""
     data = -np.logaddexp(0.0, -x.data).astype(x.dtype, copy=False)
-    sig_neg = _sigmoid_np(-x.data)
+    sig_neg = stable_sigmoid(-x.data)
     return Tensor._from_op(data, (x,), lambda g: (g * sig_neg,))
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator,
@@ -105,6 +97,28 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         out = out + b
     return out
+
+
+# ---------------------------------------------------------------------------
+# im2col scatter (col2im)
+
+
+def _col2im(dwin: np.ndarray, strides: tuple, padded: tuple) -> np.ndarray:
+    """Sum window gradients back onto the padded input grid.
+
+    ``dwin`` is [B, C, *out, *kernel], the gradient of every strided window
+    a forward pass read from a [B, C, *padded] input. Kernel offsets are added
+    one at a time, in ``np.ndindex`` order, so each input element sums its
+    contributions in a fixed order and the result is deterministic.
+    """
+    nd = len(strides)
+    out, kernel = dwin.shape[2:2 + nd], dwin.shape[2 + nd:]
+    dxp = np.zeros(dwin.shape[:2] + tuple(padded), dtype=dwin.dtype)
+    for offset in np.ndindex(*kernel):
+        span = tuple(slice(k, k + (n - 1) * s + 1, s)
+                     for k, n, s in zip(offset, out, strides))
+        dxp[(..., *span)] += dwin[(..., *offset)]
+    return dxp
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +164,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
         dw = (g2.T @ cols).reshape(O, C, K)
         db = g.sum(axis=(0, 2)) if b is not None else None
         dcols = (g2 @ wmat).reshape(B, Lout, C, K).transpose(0, 2, 1, 3)
-        dxp = np.zeros((B, C, Lp), dtype=g.dtype)
-        span = (Lout - 1) * stride + 1
-        for kk in range(K):
-            dxp[:, :, kk:kk + span:stride] += dcols[:, :, :, kk]
-        dx = dxp[:, :, padding:padding + L] if padding else dxp
+        dx = _col2im(dcols, (stride,), (Lp,))[..., padding:padding + L]
         return (np.ascontiguousarray(dx), dw) + ((db,) if b is not None else ())
 
     parents = (x, w) + ((b,) if b is not None else ())
@@ -175,16 +185,13 @@ def maxpool1d(x: Tensor, kernel: int, stride: int | None = None,
     idx = win.argmax(axis=3)
     data = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
     data = np.ascontiguousarray(data)
-    Lout = data.shape[2]
 
     def backward(g):
-        dxp = np.zeros((B, C, Lp), dtype=g.dtype)
-        span = (Lout - 1) * stride + 1
-        for kk in range(kernel):
-            sel = idx == kk
-            if sel.any():
-                dxp[:, :, kk:kk + span:stride] += g * sel
-        dx = dxp[:, :, padding:padding + L] if padding else dxp
+        # built offset-major, so each offset's slab is contiguous; a
+        # kernel-last array would run every op over a length-kernel axis
+        sel = idx == np.arange(kernel).reshape(-1, 1, 1, 1)
+        dwin = np.moveaxis(g * sel, 0, -1)
+        dx = _col2im(dwin, (stride,), (Lp,))[..., padding:padding + L]
         return (np.ascontiguousarray(dx),)
 
     return Tensor._from_op(data, (x,), backward)
@@ -199,15 +206,11 @@ def avgpool1d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
         raise ShapeError(f"avgpool1d: kernel {kernel} larger than input {L}")
     win = _windows1d(x.data, kernel, stride)
     data = np.ascontiguousarray(win.mean(axis=3))
-    Lout = data.shape[2]
 
     def backward(g):
-        dx = np.zeros((B, C, L), dtype=g.dtype)
         share = g / kernel
-        span = (Lout - 1) * stride + 1
-        for kk in range(kernel):
-            dx[:, :, kk:kk + span:stride] += share
-        return (dx,)
+        dwin = np.broadcast_to(share[..., None], share.shape + (kernel,))
+        return (_col2im(dwin, (stride,), (L,)),)
 
     return Tensor._from_op(data, (x,), backward)
 
@@ -223,12 +226,17 @@ def global_avg_pool1d(x: Tensor) -> Tensor:
 # 2-d convolution and pooling (12-lead grid front-ends)
 
 
-def _pad2d(x: np.ndarray, ph, pw, value: float = 0.0) -> np.ndarray:
+def _pad2d(x: np.ndarray, ph, pw) -> tuple[np.ndarray, tuple]:
+    """Zero-pad H by ph and W by pw (each an int or a (before, after) pair).
+
+    Also returns the index that crops a padded-grid gradient back to x.
+    """
     ph0, ph1 = (ph, ph) if isinstance(ph, int) else ph
     pw0, pw1 = (pw, pw) if isinstance(pw, int) else pw
+    crop = (..., slice(ph0, ph0 + x.shape[2]), slice(pw0, pw0 + x.shape[3]))
     if not (ph0 or ph1 or pw0 or pw1):
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1)), constant_values=value)
+        return x, crop
+    return np.pad(x, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1))), crop
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -242,7 +250,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ShapeError(f"conv2d: input channels {C} != weight channels {Cw}")
     sh, sw = stride
     ph, pw = padding
-    xp = _pad2d(x.data, ph, pw)
+    xp, crop = _pad2d(x.data, ph, pw)
     Hp, Wp = xp.shape[2], xp.shape[3]
     if KH > Hp or KW > Wp:
         raise ShapeError(f"conv2d: kernel ({KH},{KW}) larger than padded input ({Hp},{Wp})")
@@ -261,15 +269,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         dw = (g2.T @ cols).reshape(O, C, KH, KW)
         db = g.sum(axis=(0, 2, 3)) if b is not None else None
         dcols = (g2 @ wmat).reshape(B, Ho, Wo, C, KH, KW).transpose(0, 3, 1, 2, 4, 5)
-        dxp = np.zeros_like(xp, dtype=g.dtype)
-        hspan = (Ho - 1) * sh + 1
-        wspan = (Wo - 1) * sw + 1
-        for kh in range(KH):
-            for kw in range(KW):
-                dxp[:, :, kh:kh + hspan:sh, kw:kw + wspan:sw] += dcols[:, :, :, :, kh, kw]
-        ph0 = ph if isinstance(ph, int) else ph[0]
-        pw0 = pw if isinstance(pw, int) else pw[0]
-        dx = dxp[:, :, ph0:ph0 + H, pw0:pw0 + W]
+        dx = _col2im(dcols, stride, (Hp, Wp))[crop]
         return (np.ascontiguousarray(dx), dw) + ((db,) if b is not None else ())
 
     parents = (x, w) + ((b,) if b is not None else ())
@@ -292,7 +292,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ShapeError(f"depthwise_conv2d: input channels {C} != weight channels {Cw}")
     sh, sw = stride
     ph, pw = padding
-    xp = _pad2d(x.data, ph, pw)
+    xp, crop = _pad2d(x.data, ph, pw)
     Hp, Wp = xp.shape[2], xp.shape[3]
     if KH > Hp or KW > Wp:
         raise ShapeError(
@@ -309,15 +309,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         dw = np.einsum("bchwuv,bcmhw->cmuv", win, g5, optimize=True)
         db = g.sum(axis=(0, 2, 3)) if b is not None else None
         dwin = np.einsum("bcmhw,cmuv->bchwuv", g5, w.data, optimize=True)
-        dxp = np.zeros_like(xp, dtype=g.dtype)
-        hspan = (Ho - 1) * sh + 1
-        wspan = (Wo - 1) * sw + 1
-        for kh in range(KH):
-            for kw in range(KW):
-                dxp[:, :, kh:kh + hspan:sh, kw:kw + wspan:sw] += dwin[:, :, :, :, kh, kw]
-        ph0 = ph if isinstance(ph, int) else ph[0]
-        pw0 = pw if isinstance(pw, int) else pw[0]
-        dx = dxp[:, :, ph0:ph0 + H, pw0:pw0 + W]
+        dx = _col2im(dwin, stride, (Hp, Wp))[crop]
         return (np.ascontiguousarray(dx), dw) + ((db,) if b is not None else ())
 
     parents = (x, w) + ((b,) if b is not None else ())
@@ -335,17 +327,11 @@ def avgpool2d(x: Tensor, kernel: tuple[int, int],
         raise ShapeError(f"avgpool2d: kernel ({kh},{kw}) larger than input ({H},{W})")
     win = sliding_window_view(x.data, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
     data = np.ascontiguousarray(win.mean(axis=(4, 5)))
-    Ho, Wo = data.shape[2], data.shape[3]
 
     def backward(g):
-        dx = np.zeros((B, C, H, W), dtype=g.dtype)
         share = g / (kh * kw)
-        hspan = (Ho - 1) * sh + 1
-        wspan = (Wo - 1) * sw + 1
-        for u in range(kh):
-            for v in range(kw):
-                dx[:, :, u:u + hspan:sh, v:v + wspan:sw] += share
-        return (dx,)
+        dwin = np.broadcast_to(share[..., None, None], share.shape + (kh, kw))
+        return (_col2im(dwin, (sh, sw), (H, W)),)
 
     return Tensor._from_op(data, (x,), backward)
 

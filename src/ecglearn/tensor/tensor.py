@@ -24,7 +24,7 @@ import numpy as np
 
 from ..errors import AutodiffError, ShapeError
 
-__all__ = ["Tensor", "Parameter", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "Parameter", "no_grad", "is_grad_enabled", "stable_sigmoid"]
 
 _GRAD_ENABLED = True
 
@@ -240,7 +240,7 @@ class Tensor:
         return Tensor._from_op(np.log(self.data), (x,), lambda g: (g / x.data,))
 
     def sigmoid(self) -> "Tensor":
-        data = _sigmoid(self.data)
+        data = stable_sigmoid(self.data)
         return Tensor._from_op(data, (self,), lambda g: (g * data * (1.0 - data),))
 
     def tanh(self) -> "Tensor":
@@ -341,8 +341,11 @@ def _wrap(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Stable in both tails: exp is only taken of non-positive values.
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function of an array, stable in both tails.
+
+    exp is only taken of non-positive values, so no input overflows.
+    """
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))

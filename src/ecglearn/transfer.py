@@ -31,7 +31,7 @@ import numpy as np
 
 from .dataio.batches import BatchLoader
 from .dataio.labels import TaskSpec
-from .errors import CheckpointError
+from .errors import CheckpointError, ModelError
 from .learn.optim import OptimizerConfig
 from .learn.train import LossFn, TrainResult, train_model
 from .models import Model, ModelSpec, build
@@ -167,20 +167,12 @@ def load_checkpoint(path: str | Path, validate_shapes: bool = True) -> Checkpoin
                       spec=spec, seed=header.get("seed", 0),
                       provenance=header.get("provenance", {}), tensors=tensors)
     if validate_shapes:
-        reference = build(spec, seed=0)
-        ref_state = reference.state_dict()
-        missing = set(ref_state) - set(tensors)
-        unexpected = set(tensors) - set(ref_state)
-        if missing or unexpected:
+        try:
+            build(spec, seed=0).load_state_dict(tensors)
+        except ModelError as e:
             raise CheckpointError(
-                f"{path.name}: tensor names do not match the model "
-                f"description; missing={sorted(missing)}, "
-                f"unexpected={sorted(unexpected)}")
-        for name, arr in tensors.items():
-            if arr.shape != ref_state[name].shape:
-                raise CheckpointError(
-                    f"{path.name}: tensor {name!r} has shape {arr.shape}, "
-                    f"model description requires {ref_state[name].shape}")
+                f"{path.name}: tensors do not match the model description; "
+                f"{e}") from None
     return ckpt
 
 

@@ -1,5 +1,5 @@
-"""Brute-force reference implementations used to verify the metric suite
-and the bandpass filter.
+"""Brute-force reference implementations used to verify the metric suite,
+the bandpass filter and the backward passes of the strided window ops.
 
 Deliberately written with explicit python loops and none of the library's
 vectorized machinery, so agreement is meaningful. Conventions match the
@@ -12,6 +12,7 @@ order; AUC counts pairwise wins with ties worth 1/2; undefined AP/AUC
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def oracle_column_binarized(pred_col, tgt_col):
@@ -145,3 +146,128 @@ def oracle_filtfilt(sections, x, padlen):
 def oracle_bandpass(signal, fs, sections):
     """One record's zero-phase bandpass with a second of padding."""
     return oracle_filtfilt(sections, signal, min(signal.shape[-1] - 1, int(fs)))
+
+
+# ---------------------------------------------------------------------------
+# Backward passes of the strided window ops, each with its own hand-written
+# scatter-add loop over kernel offsets. Each takes the forward inputs and the
+# upstream gradient g and returns the op's gradients.
+
+
+def _pads(p):
+    return (p, p) if isinstance(p, int) else tuple(p)
+
+
+def oracle_conv1d_grads(x, w, b, g, stride, padding):
+    """(dx, dw, db) of conv1d."""
+    B, C, L = x.shape
+    O, _, K = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    Lp = xp.shape[2]
+    win = sliding_window_view(xp, K, axis=2)[:, :, ::stride, :]
+    Lout = win.shape[2]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(B * Lout, C * K)
+    wmat = w.reshape(O, C * K)
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * Lout, O)
+    dw = (g2.T @ cols).reshape(O, C, K)
+    db = g.sum(axis=(0, 2)) if b is not None else None
+    dcols = (g2 @ wmat).reshape(B, Lout, C, K).transpose(0, 2, 1, 3)
+    dxp = np.zeros((B, C, Lp), dtype=g.dtype)
+    span = (Lout - 1) * stride + 1
+    for kk in range(K):
+        dxp[:, :, kk:kk + span:stride] += dcols[:, :, :, kk]
+    dx = dxp[:, :, padding:padding + L] if padding else dxp
+    return np.ascontiguousarray(dx), dw, db
+
+
+def oracle_maxpool1d_grad(x, g, kernel, stride, padding):
+    """dx of maxpool1d; ties go to the first maximum of a window."""
+    B, C, L = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)), constant_values=-np.inf)
+    Lp = xp.shape[2]
+    idx = sliding_window_view(xp, kernel, axis=2)[:, :, ::stride, :].argmax(axis=3)
+    Lout = idx.shape[2]
+    dxp = np.zeros((B, C, Lp), dtype=g.dtype)
+    span = (Lout - 1) * stride + 1
+    for kk in range(kernel):
+        sel = idx == kk
+        if sel.any():
+            dxp[:, :, kk:kk + span:stride] += g * sel
+    dx = dxp[:, :, padding:padding + L] if padding else dxp
+    return np.ascontiguousarray(dx)
+
+
+def oracle_avgpool1d_grad(x, g, kernel, stride):
+    """dx of avgpool1d."""
+    B, C, L = x.shape
+    Lout = g.shape[2]
+    dx = np.zeros((B, C, L), dtype=g.dtype)
+    share = g / kernel
+    span = (Lout - 1) * stride + 1
+    for kk in range(kernel):
+        dx[:, :, kk:kk + span:stride] += share
+    return dx
+
+
+def _scatter2d(dwin, dxp, stride, padding, H, W):
+    sh, sw = stride
+    Ho, Wo, KH, KW = dwin.shape[2:]
+    hspan = (Ho - 1) * sh + 1
+    wspan = (Wo - 1) * sw + 1
+    for kh in range(KH):
+        for kw in range(KW):
+            dxp[:, :, kh:kh + hspan:sh, kw:kw + wspan:sw] += dwin[:, :, :, :, kh, kw]
+    ph0, pw0 = _pads(padding[0])[0], _pads(padding[1])[0]
+    return np.ascontiguousarray(dxp[:, :, ph0:ph0 + H, pw0:pw0 + W])
+
+
+def _windows2d(x, kshape, stride, padding):
+    xp = np.pad(x, ((0, 0), (0, 0), _pads(padding[0]), _pads(padding[1])))
+    win = sliding_window_view(xp, kshape, axis=(2, 3))[:, :, ::stride[0], ::stride[1]]
+    return xp, win
+
+
+def oracle_conv2d_grads(x, w, b, g, stride, padding):
+    """(dx, dw, db) of conv2d; padding entries are ints or (before, after)."""
+    B, C, H, W = x.shape
+    O, _, KH, KW = w.shape
+    xp, win = _windows2d(x, (KH, KW), stride, padding)
+    Ho, Wo = win.shape[2], win.shape[3]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        B * Ho * Wo, C * KH * KW)
+    wmat = w.reshape(O, C * KH * KW)
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * Ho * Wo, O)
+    dw = (g2.T @ cols).reshape(O, C, KH, KW)
+    db = g.sum(axis=(0, 2, 3)) if b is not None else None
+    dcols = (g2 @ wmat).reshape(B, Ho, Wo, C, KH, KW).transpose(0, 3, 1, 2, 4, 5)
+    dxp = np.zeros_like(xp, dtype=g.dtype)
+    return _scatter2d(dcols, dxp, stride, padding, H, W), dw, db
+
+
+def oracle_depthwise_conv2d_grads(x, w, b, g, stride, padding):
+    """(dx, dw, db) of depthwise_conv2d."""
+    B, C, H, W = x.shape
+    _, M, KH, KW = w.shape
+    xp, win = _windows2d(x, (KH, KW), stride, padding)
+    g5 = g.reshape(B, C, M, win.shape[2], win.shape[3])
+    dw = np.einsum("bchwuv,bcmhw->cmuv", win, g5, optimize=True)
+    db = g.sum(axis=(0, 2, 3)) if b is not None else None
+    dwin = np.einsum("bcmhw,cmuv->bchwuv", g5, w, optimize=True)
+    dxp = np.zeros_like(xp, dtype=g.dtype)
+    return _scatter2d(dwin, dxp, stride, padding, H, W), dw, db
+
+
+def oracle_avgpool2d_grad(x, g, kernel, stride):
+    """dx of avgpool2d."""
+    B, C, H, W = x.shape
+    kh, kw = kernel
+    sh, sw = stride
+    Ho, Wo = g.shape[2], g.shape[3]
+    dx = np.zeros((B, C, H, W), dtype=g.dtype)
+    share = g / (kh * kw)
+    hspan = (Ho - 1) * sh + 1
+    wspan = (Wo - 1) * sw + 1
+    for u in range(kh):
+        for v in range(kw):
+            dx[:, :, u:u + hspan:sh, v:v + wspan:sw] += share
+    return dx

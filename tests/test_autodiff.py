@@ -5,6 +5,9 @@ import pytest
 
 from ecglearn.errors import AutodiffError
 from ecglearn.tensor import (Tensor, functional as F, gradcheck, no_grad)
+from oracles import (oracle_avgpool1d_grad, oracle_avgpool2d_grad,
+                     oracle_conv1d_grads, oracle_conv2d_grads,
+                     oracle_depthwise_conv2d_grads, oracle_maxpool1d_grad)
 
 
 def T64(arr, **kw):
@@ -233,3 +236,92 @@ class TestGradcheckGuards:
         kept = out.data != 0
         assert np.allclose(out.data[kept], 1.0 / 0.75)
         assert F.dropout(x, 0.25, rng, training=False) is x
+
+
+def window_op_grads(op, arrays, rng, **kw):
+    """Gradients of every array input of ``op`` under a random upstream
+    gradient g, plus g itself."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves, **kw)
+    g = rng.normal(size=out.shape).astype(out.dtype)
+    (out * Tensor(g)).sum().backward()
+    return [t.grad for t in leaves], g
+
+
+def assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+DTYPES = (np.float32, np.float64)
+PADS_2D = [((1, 1), (0, 0), (3, 3)),
+           ((2, 1), ((1, 2), (0, 1)), (2, 3)),
+           ((1, 3), (1, (2, 0)), (3, 2))]
+
+
+class TestWindowBackwardMatchesOracle:
+    """Bit-identity of the window ops' backward passes with their frozen
+    per-op scatter loops."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("K, stride, padding",
+                             [(3, 1, 0), (5, 2, 1), (4, 3, 2), (1, 2, 0)])
+    def test_conv1d(self, dtype, K, stride, padding):
+        rng = np.random.default_rng(K)
+        x, w, b = (rng.normal(size=s).astype(dtype)
+                   for s in ((2, 3, 17), (4, 3, K), (4,)))
+        got, g = window_op_grads(F.conv1d, (x, w, b), rng,
+                                  stride=stride, padding=padding)
+        assert_bitwise(got, oracle_conv1d_grads(x, w, b, g, stride, padding))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kernel, stride, padding",
+                             [(3, 2, 1), (2, 2, 0), (3, 1, 1), (4, 3, 2)])
+    def test_maxpool1d_ties_and_padding(self, dtype, kernel, stride, padding):
+        rng = np.random.default_rng(kernel)
+        x = rng.integers(-2, 3, size=(2, 3, 19)).astype(dtype)   # many ties
+        got, g = window_op_grads(F.maxpool1d, (x,), rng, kernel=kernel,
+                                  stride=stride, padding=padding)
+        assert_bitwise(got, [oracle_maxpool1d_grad(x, g, kernel, stride, padding)])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kernel, stride", [(2, 2), (3, 1), (4, 3)])
+    def test_avgpool1d(self, dtype, kernel, stride):
+        rng = np.random.default_rng(kernel)
+        x = rng.normal(size=(2, 3, 17)).astype(dtype)
+        got, g = window_op_grads(F.avgpool1d, (x,), rng, kernel=kernel,
+                                  stride=stride)
+        assert_bitwise(got, [oracle_avgpool1d_grad(x, g, kernel, stride)])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("stride, padding, kshape", PADS_2D)
+    def test_conv2d(self, dtype, stride, padding, kshape):
+        rng = np.random.default_rng(sum(kshape))
+        x, w, b = (rng.normal(size=s).astype(dtype)
+                   for s in ((2, 3, 6, 9), (4, 3) + kshape, (4,)))
+        got, g = window_op_grads(F.conv2d, (x, w, b), rng,
+                                  stride=stride, padding=padding)
+        assert_bitwise(got, oracle_conv2d_grads(x, w, b, g, stride, padding))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("stride, padding, kshape", PADS_2D)
+    def test_depthwise_conv2d(self, dtype, stride, padding, kshape):
+        rng = np.random.default_rng(sum(kshape))
+        x, w, b = (rng.normal(size=s).astype(dtype)
+                   for s in ((2, 3, 6, 9), (3, 2) + kshape, (6,)))
+        got, g = window_op_grads(F.depthwise_conv2d, (x, w, b), rng,
+                                  stride=stride, padding=padding)
+        assert_bitwise(got, oracle_depthwise_conv2d_grads(x, w, b, g, stride,
+                                                          padding))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kernel, stride",
+                             [((2, 2), (2, 2)), ((1, 4), (1, 2)), ((3, 2), (2, 3))])
+    def test_avgpool2d(self, dtype, kernel, stride):
+        rng = np.random.default_rng(sum(kernel))
+        x = rng.normal(size=(2, 3, 6, 9)).astype(dtype)
+        got, g = window_op_grads(F.avgpool2d, (x,), rng, kernel=kernel,
+                                  stride=stride)
+        assert_bitwise(got, [oracle_avgpool2d_grad(x, g, kernel, stride)])

@@ -1,5 +1,8 @@
 """Architecture construction: shapes, determinism, summaries, errors."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from ecglearn.errors import ModelError, ShapeError
 from ecglearn.models import (ARCHITECTURE_NAMES, Model, ModelSpec, build,
                              summarize_parameters)
 from ecglearn.tensor import Tensor, gradcheck
+from ecglearn.transfer import tensor_hashes
 
 TASK5 = TaskSpec(TaskKind.MULTILABEL, tuple(f"c{i}" for i in range(5)))
 TASK9 = TaskSpec(TaskKind.MULTILABEL, tuple(f"c{i}" for i in range(9)))
@@ -173,6 +177,45 @@ class TestParameterSummary:
         heads = model.head_parameter_names()
         assert heads == {"head.weight", "head.bias"}
         assert all(n.startswith("backbone.") for n in names - heads)
+
+
+# build(ModelSpec(arch, TASK5, hp), seed=3): parameter count, then sha256 of
+# the parameter names in registration order and of the JSON of its
+# tensor_hashes. Names are the checkpoint keys and the registration order
+# fixes the initialization draws, so a changed digest means older
+# checkpoints stop loading or fresh builds change their initial weights.
+PINNED_BUILDS = {
+    "AttResNet": (
+        {"base_width": 4, "embed_dim": 32, "num_heads": 2}, 70,
+        "4145273266b298082c6065d29c95dfd0475e31ee4798277586c9123027e10174",
+        "5afccea59fcd47253d16435b0f6be22db934447674d90d77b6e5365c3d2ad22c"),
+    "TransformerEnc": (
+        {"embed_dim": 16, "num_heads": 2, "num_layers": 2, "ffn_dim": 32,
+         "max_tokens": 64}, 39,
+        "5d73ba2e988d24ddcb0319639e8d3393db49567c04bd60d88407ce0a87624ded",
+        "2f7e803df958567f54e908213ddd24a913b29ea1b4746b91a1b398ff6e78b791"),
+    "ResTransformer": (
+        {"base_width": 4, "embed_dim": 32, "num_heads": 2, "num_layers": 2,
+         "ffn_dim": 64, "max_tokens": 64}, 97,
+        "1a6c362d26d543066a323eaffa7b42e3188ea58ef63d3bba6c0a061f210f8838",
+        "3d644371cfcffe103a349ac1acdea7536894780758826e3683f2a80880305d72"),
+}
+
+
+def sha256_hex(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestCheckpointCompatibility:
+    @pytest.mark.parametrize("arch", sorted(PINNED_BUILDS))
+    def test_names_and_initial_tensors_pinned(self, arch):
+        hp, count, names_digest, hashes_digest = PINNED_BUILDS[arch]
+        model = build(ModelSpec(arch, TASK5, hp), seed=3)
+        names = list(model.named_parameters())
+        assert len(names) == count
+        assert sha256_hex("\n".join(names)) == names_digest
+        hashes = tensor_hashes(model.state_dict())
+        assert sha256_hex(json.dumps(hashes, sort_keys=True)) == hashes_digest
 
 
 class TestTinyGradcheck:

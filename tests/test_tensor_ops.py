@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from ecglearn.dataio import TaskKind
 from ecglearn.errors import ShapeError
+from ecglearn.learn.train import _scores_from_logits
 from ecglearn.tensor import Tensor, functional as F
 
 
@@ -24,6 +26,11 @@ class TestElementwise:
         out = T([-800.0, 0.0, 800.0]).sigmoid()
         assert np.all(np.isfinite(out.data))
         assert out.data[1] == 0.5
+        # evaluation scores: the same sigmoid of float32 logits taken in float64
+        logits = np.array([[-800.0, 0.0, 800.0]], dtype=np.float32)
+        scores = _scores_from_logits(logits, TaskKind.MULTILABEL)
+        assert scores.dtype == np.float64
+        assert np.array_equal(scores[0], out.data)
 
     def test_logsigmoid_matches_log_of_sigmoid(self):
         x = np.linspace(-20, 20, 41)

@@ -1,5 +1,7 @@
 """Checkpoint round-trips, head adaptation, and freeze semantics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,26 @@ def trained_small_model(arch="ResNet18_1D", hp=None, task=TASK5, seed=0):
     x = np.random.default_rng(seed).normal(size=(4, 12, 64)).astype(np.float32)
     model.forward(Tensor(x))
     return model
+
+
+def rewrite_tensor_table(path, edit):
+    """Re-encode a checkpoint's tensor table and data section after
+    ``edit(tensors)``; the rest of the header, fingerprint included, stays."""
+    raw = path.read_bytes()
+    header = json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
+    tensors = load_checkpoint(path, validate_shapes=False).tensors
+    edit(tensors)
+    table, blocks, offset = [], [], 0
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+        table.append({"name": name, "shape": list(arr.shape), "dtype": "<f4",
+                      "offset": offset, "nbytes": arr.nbytes})
+        blocks.append(arr.tobytes())
+        offset += arr.nbytes
+    header["tensors"] = table
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                     + b"".join(blocks))
 
 
 class TestCheckpointRoundtrip:
@@ -71,6 +93,21 @@ class TestCheckpointRoundtrip:
         assert needle in raw
         path.write_bytes(raw.replace(needle, b'"base_width": 8', 1))
         with pytest.raises(CheckpointError, match="fingerprint mismatch"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.pop("head.bias"), r"missing=\['head.bias'\]"),
+        (lambda t: t.update({"backbone.extra": np.zeros(3, np.float32)}),
+         r"unexpected=\['backbone.extra'\]"),
+        (lambda t: t.update({"head.weight": t["head.weight"].T}),
+         r"'head.weight'.*shape"),
+    ], ids=["missing", "extra", "wrong-shape"])
+    def test_tensor_table_must_match_description(self, tmp_path, edit, message):
+        path = save_checkpoint(trained_small_model(), {"source": "none"},
+                               tmp_path / "m.ckpt")
+        rewrite_tensor_table(path, edit)
+        load_checkpoint(path, validate_shapes=False)   # still well formed
+        with pytest.raises(CheckpointError, match=r"m\.ckpt: .*" + message):
             load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
