@@ -24,7 +24,7 @@ print("\n=== fan-out accumulates additively ===")
 y = Tensor(np.array([2.0]), requires_grad=True)
 sq = y * y
 (sq + sq + sq).sum().backward()
-print(f"y used three times: grad {float(y.grad):.1f}   (expected 3 * 2y = 12)")
+print(f"y used three times: grad {y.grad.item():.1f}   (expected 3 * 2y = 12)")
 
 print("\n=== finite-difference verification of a conv chain ===")
 rng = np.random.default_rng(0)

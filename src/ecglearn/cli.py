@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, apply_override, config_from_dict, config_to_dict
+from .config import (RunConfig, _read_json, apply_override, config_from_dict,
+                     config_to_dict)
 from .dataio import (DatasetManifest, LabelVector, ManifestRow, TaskKind,
                      TaskSpec, generate_imbalanced_binary,
                      generate_synthetic_dataset, load_wfdb_record,
@@ -133,16 +134,7 @@ def _import_directory(args) -> tuple[DatasetManifest, list]:
 
 
 def _load_config(args) -> RunConfig:
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e})") from None
-    else:
-        data = config_to_dict(RunConfig())
+    data = _read_json(args.config) if args.config else config_to_dict(RunConfig())
     if not isinstance(data, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
     alias = {"lr": "optimizer.lr", "epochs": "optimizer.epochs",
@@ -184,7 +176,7 @@ def _cmd_finetune(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    grid = json.loads(Path(args.grid).read_text())
+    grid = _read_json(args.grid)
     if not isinstance(grid, dict) or not all(isinstance(v, list)
                                              for v in grid.values()):
         raise ConfigError(f"{args.grid}: grid must map dotted keys to lists")

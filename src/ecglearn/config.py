@@ -84,18 +84,21 @@ class RunConfig:
 
     @staticmethod
     def from_json_file(path: str | Path) -> "RunConfig":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e})") from None
-        return config_from_dict(RunConfig, data)
+        return config_from_dict(RunConfig, _read_json(path))
 
 
 # ---------------------------------------------------------------------------
 # generic strict dataclass <-> dict conversion
+
+
+def _read_json(path: str | Path):
+    """Decode a JSON file; an unreadable or malformed file is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ConfigError(f"cannot read {path}: {e.strerror}") from None
+    except ValueError as e:
+        raise ConfigError(f"{path}: invalid JSON ({e})") from None
 
 
 def config_to_dict(obj):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_dict, config_to_dict
+from .config import RunConfig, apply_override, config_from_dict, config_to_dict
 from .dataio import (BatchLoader, DatasetManifest, SplitPlan, load_manifest,
                      load_records, split_indices)
 from .errors import ConfigError, EcglearnError
@@ -200,11 +200,7 @@ def run_sweep(base_cfg: RunConfig, grid: dict[str, list], log=None) -> Path:
         overrides = dict(zip(keys, values))
         data = config_to_dict(base_cfg)
         for key, value in overrides.items():
-            node = data
-            parts = key.split(".")
-            for p in parts[:-1]:
-                node = node[p]
-            node[parts[-1]] = value
+            apply_override(data, key, json.dumps(value))
         data["out_dir"] = str(sweep_dir / f"run-{combo_idx:03d}")
         row = {"run": f"run-{combo_idx:03d}",
                **{k: repr(v) for k, v in overrides.items()}}

@@ -1,11 +1,13 @@
 """Differentiable neural-network primitives on top of the Tensor graph.
 
 Convolutions are computed directly (im2col + BLAS matmul, no FFT), which is
-exact and fast enough at the signal lengths this package targets. Every
-window op's backward pass sums its window gradients back through one col2im
-scatter. Every op validates its shape algebra up front and raises ShapeError
-naming the op and the offending dimensions; a conforming call always produces
-the documented output shape.
+exact and fast enough at the signal lengths this package targets. 1-d
+convolution and average pooling run on the 2-d kernels as their height-1
+case, so there is one im2col convolution. Every window op's backward pass
+sums its window gradients back through one col2im scatter. Every op
+validates its shape algebra up front and raises ShapeError naming the op and
+the offending dimensions; a conforming call always produces the documented
+output shape.
 """
 
 from __future__ import annotations
@@ -122,18 +124,7 @@ def _col2im(dwin: np.ndarray, strides: tuple, padded: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# 1-d convolution and pooling
-
-
-def _pad1d(x: np.ndarray, pad: int, value: float = 0.0) -> np.ndarray:
-    if pad == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pad, pad)), constant_values=value)
-
-
-def _windows1d(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    # [B, C, Lout, k] view into the padded input
-    return sliding_window_view(xp, k, axis=2)[:, :, ::stride, :]
+# 1-d convolution and pooling (height-1 cases of the 2-d kernels below)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -149,26 +140,9 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if K > Lp:
         raise ShapeError(
             f"conv1d: kernel {K} larger than padded input {Lp} (L={L}, pad={padding})")
-    xp = _pad1d(x.data, padding)
-    win = _windows1d(xp, K, stride)                      # [B, C, Lout, K]
-    Lout = win.shape[2]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(B * Lout, C * K)
-    wmat = w.data.reshape(O, C * K)
-    out = (cols @ wmat.T).reshape(B, Lout, O).transpose(0, 2, 1)
-    out = np.ascontiguousarray(out)
-    if b is not None:
-        out = out + b.data.reshape(1, O, 1)
-
-    def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * Lout, O)
-        dw = (g2.T @ cols).reshape(O, C, K)
-        db = g.sum(axis=(0, 2)) if b is not None else None
-        dcols = (g2 @ wmat).reshape(B, Lout, C, K).transpose(0, 2, 1, 3)
-        dx = _col2im(dcols, (stride,), (Lp,))[..., padding:padding + L]
-        return (np.ascontiguousarray(dx), dw) + ((db,) if b is not None else ())
-
-    parents = (x, w) + ((b,) if b is not None else ())
-    return Tensor._from_op(out, parents, backward)
+    out = conv2d(x.reshape(B, C, 1, L), w.reshape(O, C, 1, K), b,
+                 stride=(1, stride), padding=(0, padding))
+    return out.reshape(B, O, out.shape[3])
 
 
 def maxpool1d(x: Tensor, kernel: int, stride: int | None = None,
@@ -180,8 +154,10 @@ def maxpool1d(x: Tensor, kernel: int, stride: int | None = None,
     Lp = L + 2 * padding
     if kernel > Lp:
         raise ShapeError(f"maxpool1d: kernel {kernel} larger than padded input {Lp}")
-    xp = _pad1d(x.data, padding, value=-np.inf)
-    win = _windows1d(xp, kernel, stride)
+    xp = x.data
+    if padding:
+        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding)), constant_values=-np.inf)
+    win = sliding_window_view(xp, kernel, axis=2)[:, :, ::stride, :]  # [B, C, Lout, k]
     idx = win.argmax(axis=3)
     data = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
     data = np.ascontiguousarray(data)
@@ -200,19 +176,11 @@ def maxpool1d(x: Tensor, kernel: int, stride: int | None = None,
 def avgpool1d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"avgpool1d expects [B,C,L], got {x.shape}")
-    stride = stride or kernel
     B, C, L = x.shape
     if kernel > L:
         raise ShapeError(f"avgpool1d: kernel {kernel} larger than input {L}")
-    win = _windows1d(x.data, kernel, stride)
-    data = np.ascontiguousarray(win.mean(axis=3))
-
-    def backward(g):
-        share = g / kernel
-        dwin = np.broadcast_to(share[..., None], share.shape + (kernel,))
-        return (_col2im(dwin, (stride,), (L,)),)
-
-    return Tensor._from_op(data, (x,), backward)
+    out = avgpool2d(x.reshape(B, C, 1, L), (1, kernel), (1, stride or kernel))
+    return out.reshape(B, C, out.shape[3])
 
 
 def global_avg_pool1d(x: Tensor) -> Tensor:

@@ -70,8 +70,11 @@ class Checkpoint:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def to_model(self, seed: int | None = None) -> Model:
-        """Rebuild the architecture and restore every tensor bitwise."""
-        model = build(self.spec, seed if seed is not None else self.seed)
+        """Rebuild the architecture in the stored tensors' dtype and restore
+        every tensor bitwise."""
+        dtype = max((arr.dtype for arr in self.tensors.values()),
+                    key=lambda d: d.itemsize, default=np.dtype(np.float32))
+        model = build(self.spec, seed if seed is not None else self.seed, dtype)
         model.load_state_dict(self.tensors)
         return model
 
@@ -132,7 +135,10 @@ def load_checkpoint(path: str | Path, validate_shapes: bool = True) -> Checkpoin
     name/shape agreement with a freshly built instance of that description.
     """
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as e:
+        raise CheckpointError(f"cannot read checkpoint {path}: {e.strerror}") from None
     if len(data) < 16 or data[:8] != _MAGIC:
         raise CheckpointError(f"{path.name}: not a checkpoint file")
     header_len = int.from_bytes(data[8:16], "little")

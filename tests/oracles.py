@@ -151,11 +151,32 @@ def oracle_bandpass(signal, fs, sections):
 # ---------------------------------------------------------------------------
 # Backward passes of the strided window ops, each with its own hand-written
 # scatter-add loop over kernel offsets. Each takes the forward inputs and the
-# upstream gradient g and returns the op's gradients.
+# upstream gradient g and returns the op's gradients. The 1-d convolution and
+# average pool also keep their own forward passes, from before they ran on
+# the 2-d kernels.
 
 
 def _pads(p):
     return (p, p) if isinstance(p, int) else tuple(p)
+
+
+def oracle_conv1d(x, w, b, stride, padding):
+    """Forward of conv1d: its own 1-d im2col and GEMM."""
+    B, C, L = x.shape
+    O, _, K = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    win = sliding_window_view(xp, K, axis=2)[:, :, ::stride, :]
+    Lout = win.shape[2]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(B * Lout, C * K)
+    out = (cols @ w.reshape(O, C * K).T).reshape(B, Lout, O).transpose(0, 2, 1)
+    out = np.ascontiguousarray(out)
+    return out + b.reshape(1, O, 1) if b is not None else out
+
+
+def oracle_avgpool1d(x, kernel, stride):
+    """Forward of avgpool1d: the mean over each 1-d window."""
+    win = sliding_window_view(x, kernel, axis=2)[:, :, ::stride, :]
+    return np.ascontiguousarray(win.mean(axis=3))
 
 
 def oracle_conv1d_grads(x, w, b, g, stride, padding):

@@ -5,9 +5,10 @@ import pytest
 
 from ecglearn.errors import AutodiffError
 from ecglearn.tensor import (Tensor, functional as F, gradcheck, no_grad)
-from oracles import (oracle_avgpool1d_grad, oracle_avgpool2d_grad,
-                     oracle_conv1d_grads, oracle_conv2d_grads,
-                     oracle_depthwise_conv2d_grads, oracle_maxpool1d_grad)
+from oracles import (oracle_avgpool1d, oracle_avgpool1d_grad,
+                     oracle_avgpool2d_grad, oracle_conv1d, oracle_conv1d_grads,
+                     oracle_conv2d_grads, oracle_depthwise_conv2d_grads,
+                     oracle_maxpool1d_grad)
 
 
 def T64(arr, **kw):
@@ -263,7 +264,8 @@ PADS_2D = [((1, 1), (0, 0), (3, 3)),
 
 class TestWindowBackwardMatchesOracle:
     """Bit-identity of the window ops' backward passes with their frozen
-    per-op scatter loops."""
+    per-op scatter loops, and of the 1-d convolution and average pool's
+    outputs with their frozen forward passes."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("K, stride, padding",
@@ -272,6 +274,9 @@ class TestWindowBackwardMatchesOracle:
         rng = np.random.default_rng(K)
         x, w, b = (rng.normal(size=s).astype(dtype)
                    for s in ((2, 3, 17), (4, 3, K), (4,)))
+        out = F.conv1d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                       padding=padding)
+        assert_bitwise([out.data], [oracle_conv1d(x, w, b, stride, padding)])
         got, g = window_op_grads(F.conv1d, (x, w, b), rng,
                                   stride=stride, padding=padding)
         assert_bitwise(got, oracle_conv1d_grads(x, w, b, g, stride, padding))
@@ -291,6 +296,8 @@ class TestWindowBackwardMatchesOracle:
     def test_avgpool1d(self, dtype, kernel, stride):
         rng = np.random.default_rng(kernel)
         x = rng.normal(size=(2, 3, 17)).astype(dtype)
+        out = F.avgpool1d(Tensor(x), kernel=kernel, stride=stride)
+        assert_bitwise([out.data], [oracle_avgpool1d(x, kernel, stride)])
         got, g = window_op_grads(F.avgpool1d, (x,), rng, kernel=kernel,
                                   stride=stride)
         assert_bitwise(got, [oracle_avgpool1d_grad(x, g, kernel, stride)])

@@ -1,5 +1,6 @@
 """Command-line surface: verbs, run directories, exit codes, file contracts."""
 
+import csv
 import json
 import os
 
@@ -208,6 +209,33 @@ class TestSweepEvaluateReport:
         assert f1s == sorted(f1s, reverse=True)
         assert all((sweep_dir / f"run-{i:03d}").exists() for i in range(4))
 
+    @pytest.mark.parametrize("content", [None, "{not json"],
+                             ids=["missing", "invalid"])
+    def test_sweep_bad_grid_file_is_config_error(self, tmp_path, dataset,
+                                                 capsys, content):
+        cfg = write_config(tmp_path, dataset)
+        grid = tmp_path / "grid.json"
+        if content is not None:
+            grid.write_text(content)
+        rc = cli("sweep", "--config", cfg, "--grid", grid,
+                 "--out", tmp_path / "sweep")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_sweep_unknown_key_is_failed_row(self, tmp_path, dataset, capsys):
+        cfg = write_config(tmp_path, dataset)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"nosuch.lr": [1]}))
+        sweep_dir = tmp_path / "sweep"
+        rc = cli("sweep", "--config", cfg, "--grid", grid, "--out", sweep_dir)
+        assert rc == 0
+        with open(sweep_dir / "leaderboard.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["run"] == "run-000" and row["nosuch.lr"] == "1"
+        assert row["status"].startswith("failed: ")
+        assert "unknown keys ['nosuch']" in row["status"]
+
     def test_evaluate_outputs_report(self, tmp_path, dataset, capsys):
         cfg = write_config(tmp_path, dataset)
         pre = tmp_path / "pre"
@@ -274,6 +302,12 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert cli("train", "--config", tmp_path / "nope.json",
                    "--out", tmp_path / "r") == 2
+
+    def test_missing_checkpoint_is_runtime_error(self, tmp_path, capsys):
+        rc = cli("verify-checkpoint", tmp_path / "nope.ckpt")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.ckpt" in err
 
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path, dataset):
         bad = tmp_path / "bad.ckpt"

@@ -21,11 +21,12 @@ SMALL = {"base_width": 4}
 SMALL_CRNN = {"base_width": 4, "hidden_size": 8, "num_layers": 1}
 
 
-def trained_small_model(arch="ResNet18_1D", hp=None, task=TASK5, seed=0):
+def trained_small_model(arch="ResNet18_1D", hp=None, task=TASK5, seed=0,
+                        dtype=np.float32):
     """Build and run one forward pass so batchnorm stats are populated."""
-    model = build(ModelSpec(arch, task, hp or SMALL), seed=seed)
+    model = build(ModelSpec(arch, task, hp or SMALL), seed=seed, dtype=dtype)
     model.train_mode()
-    x = np.random.default_rng(seed).normal(size=(4, 12, 64)).astype(np.float32)
+    x = np.random.default_rng(seed).normal(size=(4, 12, 64)).astype(dtype)
     model.forward(Tensor(x))
     return model
 
@@ -51,8 +52,9 @@ def rewrite_tensor_table(path, edit):
 
 
 class TestCheckpointRoundtrip:
-    def test_bitwise_roundtrip(self, tmp_path):
-        model = trained_small_model()
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_roundtrip(self, tmp_path, dtype):
+        model = trained_small_model(dtype=dtype)
         save_checkpoint(model, {"source": "none"}, tmp_path / "m.ckpt")
         ckpt = load_checkpoint(tmp_path / "m.ckpt")
         state = model.state_dict()
@@ -61,7 +63,8 @@ class TestCheckpointRoundtrip:
             assert np.array_equal(ckpt.tensors[name], arr), name
         restored = ckpt.to_model()
         for name, arr in restored.state_dict().items():
-            assert np.array_equal(arr, state[name]), name
+            assert arr.dtype == dtype, name
+            assert arr.tobytes() == state[name].tobytes(), name
 
     def test_truncated_file_rejected(self, tmp_path):
         model = trained_small_model()
