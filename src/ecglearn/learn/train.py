@@ -18,7 +18,7 @@ from ..dataio.batches import BatchLoader
 from ..dataio.labels import TaskKind
 from ..errors import TrainingDivergedError
 from ..models.architectures import Model
-from ..tensor import Tensor, no_grad, stable_sigmoid
+from ..tensor import Tensor, functional as F, no_grad
 from .metrics import MetricsReport, compute_metrics
 from .optim import Adam, OptimizerConfig
 
@@ -44,12 +44,10 @@ class TrainResult:
 
 
 def _scores_from_logits(logits: np.ndarray, kind: TaskKind) -> np.ndarray:
-    z = logits.astype(np.float64)
+    z = Tensor(logits.astype(np.float64))
     if kind is TaskKind.MULTICLASS:
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-    return stable_sigmoid(z)
+        return F.softmax(z, axis=1).data
+    return z.sigmoid().data
 
 
 def evaluate(model: Model, loader: BatchLoader,
@@ -85,7 +83,7 @@ def train_model(model: Model, train_loader: BatchLoader,
         for bi, (xb, yb) in enumerate(train_loader.batches(epoch)):
             logits = model.forward(xb)
             loss = loss_fn(logits, yb)
-            value = float(loss.data)
+            value = loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch, bi, value)
             model.zero_grad()

@@ -11,11 +11,6 @@ from ..dataio.labels import TaskSpec
 
 __all__ = ["ModelSpec", "ARCHITECTURE_NAMES", "HYPERPARAM_DEFAULTS"]
 
-ARCHITECTURE_NAMES = (
-    "AlexNet1D", "VGG11bn1D", "ResNet18_1D", "EEGNet2D",
-    "CRNN_LSTM", "CRNN_GRU", "AttResNet", "TransformerEnc", "ResTransformer",
-)
-
 # per-architecture hyperparameters and their defaults; width knobs allow the
 # reduced-size builds used for gradient checking
 HYPERPARAM_DEFAULTS: dict[str, dict] = {
@@ -34,6 +29,8 @@ HYPERPARAM_DEFAULTS: dict[str, dict] = {
                        "num_layers": 2, "ffn_dim": 1024, "max_tokens": 512,
                        "dropout": 0.1},
 }
+
+ARCHITECTURE_NAMES = tuple(HYPERPARAM_DEFAULTS)
 
 _CANON = {name.lower(): name for name in ARCHITECTURE_NAMES}
 

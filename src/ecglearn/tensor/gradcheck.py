@@ -1,5 +1,9 @@
 """Finite-difference verification of autodiff gradients.
 
+There is one finite-difference loop, ``param_gradcheck``, over a dict of
+named float64 tensors; ``gradcheck`` is its one-tensor case, checking dF/dx
+for a single input.
+
 Central differences at double precision with step h have truncation error
 O(h^2) and roundoff error ~eps/h, so h = 1e-5 keeps both far below the 1e-4
 relative tolerance used throughout. Per-element relative error is
@@ -43,78 +47,42 @@ def _rel_err(a: float, n: float) -> float:
     return abs(a - n) / max(abs(a), abs(n), _ERR_FLOOR)
 
 
-def _check_deterministic(evaluate: Callable[[], np.ndarray]) -> np.ndarray:
-    y1 = evaluate()
-    y2 = evaluate()
-    if y1.shape != y2.shape or not np.array_equal(y1, y2):
-        raise AutodiffError(
-            "function is stochastic; freeze dropout and any other random op "
-            "before running gradcheck")
-    return y1
-
-
-def _scalar_guard(y: Tensor):
-    if y.size != 1:
-        raise AutodiffError(
-            f"gradcheck needs a scalar output, got shape {y.shape}; "
-            "reduce with sum() or mean() first")
-
-
 def _sample_indices(n: int, max_elements, rng) -> np.ndarray:
     if max_elements is None or n <= max_elements:
         return np.arange(n)
-    rng = rng or np.random.default_rng(0)
     return np.sort(rng.choice(n, size=max_elements, replace=False))
 
 
 def gradcheck(f: Callable[[Tensor], Tensor], x: Tensor, tol: float = 1e-4,
               step: float = 1e-5, max_elements: int | None = None,
               rng: np.random.Generator | None = None) -> GradcheckReport:
-    """Compare autodiff dF/dx against central finite differences, per element."""
+    """Compare autodiff dF/dx against central finite differences, per element.
+
+    Runs ``param_gradcheck`` on a private copy of ``x``; ``max_elements``
+    caps the elements checked and ``worst_index`` indexes ``x``.
+    """
     if x.dtype != np.float64:
         raise AutodiffError(
             f"gradcheck requires float64 input, got {x.dtype}; "
             "finite differences are unreliable at single precision")
-
-    with no_grad():
-        y0 = _check_deterministic(lambda: f(Tensor(x.data.copy())).data.copy())
-    if y0.size != 1:
-        _scalar_guard(Tensor(y0))
-
     xt = Tensor(x.data.copy(), requires_grad=True)
-    y = f(xt)
-    _scalar_guard(y)
-    y.backward()
-    analytic = xt.grad if xt.grad is not None else np.zeros_like(x.data)
-
-    flat = x.data.reshape(-1)
-    idxs = _sample_indices(flat.size, max_elements, rng)
-    worst = (0.0, ())
-    for i in idxs:
-        base = flat[i]
-        probe = x.data.copy()
-        pflat = probe.reshape(-1)
-        with no_grad():
-            pflat[i] = base + step
-            fp = float(f(Tensor(probe.copy())).data)
-            pflat[i] = base - step
-            fm = float(f(Tensor(probe.copy())).data)
-        numeric = (fp - fm) / (2.0 * step)
-        err = _rel_err(float(analytic.reshape(-1)[i]), numeric)
-        if err > worst[0]:
-            worst = (err, np.unravel_index(i, x.shape))
-    return GradcheckReport(worst[0], worst[1], len(idxs), tol)
+    report = param_gradcheck(lambda: f(xt), {"x": xt}, tol, step,
+                             max_elements, rng)
+    worst = report.worst_index
+    worst = np.unravel_index(worst[1], x.shape) if worst else ()
+    return GradcheckReport(report.max_rel_err, worst, report.n_checked, tol)
 
 
 def param_gradcheck(loss_fn: Callable[[], Tensor], parameters: dict,
                     tol: float = 1e-4, step: float = 1e-5,
-                    samples_per_param: int = 4,
+                    samples_per_param: int | None = 4,
                     rng: np.random.Generator | None = None) -> GradcheckReport:
     """Finite-difference check of dLoss/dParam for a dict of named parameters.
 
     ``loss_fn`` evaluates the scalar loss with the parameters' current
     values; it must be deterministic. Large parameters are spot-checked at
-    ``samples_per_param`` random coordinates.
+    ``samples_per_param`` random coordinates (every coordinate when None).
+    Each coordinate is perturbed in place and restored.
     """
     rng = rng or np.random.default_rng(0)
     for name, p in parameters.items():
@@ -123,13 +91,19 @@ def param_gradcheck(loss_fn: Callable[[], Tensor], parameters: dict,
                 f"param_gradcheck requires float64 parameters; {name!r} is {p.dtype}")
 
     with no_grad():
-        _check_deterministic(lambda: loss_fn().data.copy())
+        y1, y2 = loss_fn().data.copy(), loss_fn().data.copy()
+    if y1.shape != y2.shape or not np.array_equal(y1, y2):
+        raise AutodiffError(
+            "function is stochastic; freeze dropout and any other random op "
+            "before running gradcheck")
+    if y1.size != 1:
+        raise AutodiffError(
+            f"gradcheck needs a scalar output, got shape {y1.shape}; "
+            "reduce with sum() or mean() first")
 
     for p in parameters.values():
         p.grad = None
-    loss = loss_fn()
-    _scalar_guard(loss)
-    loss.backward()
+    loss_fn().backward()
 
     worst = (0.0, ())
     per_param = {}
@@ -143,9 +117,9 @@ def param_gradcheck(loss_fn: Callable[[], Tensor], parameters: dict,
             base = flat[i]
             with no_grad():
                 flat[i] = base + step
-                fp = float(loss_fn().data)
+                fp = loss_fn().item()
                 flat[i] = base - step
-                fm = float(loss_fn().data)
+                fm = loss_fn().item()
                 flat[i] = base
             numeric = (fp - fm) / (2.0 * step)
             err = _rel_err(float(analytic.reshape(-1)[i]), numeric)

@@ -110,7 +110,7 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def numpy(self) -> np.ndarray:
         """The underlying buffer (callers must not mutate it)."""

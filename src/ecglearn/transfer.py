@@ -60,6 +60,12 @@ def _validate_source(source: str):
         f"{', '.join(_KNOWN_SOURCES)} or 'synthetic:<tag>'")
 
 
+def _stored_dtype(tensors: dict[str, np.ndarray]) -> np.dtype:
+    """The widest stored tensor dtype; float32 when there are no tensors."""
+    return max((arr.dtype for arr in tensors.values()),
+               key=lambda d: d.itemsize, default=np.dtype(np.float32))
+
+
 @dataclass
 class Checkpoint:
     version: int
@@ -72,9 +78,8 @@ class Checkpoint:
     def to_model(self, seed: int | None = None) -> Model:
         """Rebuild the architecture in the stored tensors' dtype and restore
         every tensor bitwise."""
-        dtype = max((arr.dtype for arr in self.tensors.values()),
-                    key=lambda d: d.itemsize, default=np.dtype(np.float32))
-        model = build(self.spec, seed if seed is not None else self.seed, dtype)
+        model = build(self.spec, seed if seed is not None else self.seed,
+                      _stored_dtype(self.tensors))
         model.load_state_dict(self.tensors)
         return model
 
@@ -186,11 +191,12 @@ def adapt_head(checkpoint: Checkpoint, task: TaskSpec, seed: int) -> Model:
     """New task head, pretrained backbone.
 
     The head is always freshly initialized (seeded), even when the class
-    count matches the checkpoint's; every non-head tensor is copied bitwise.
+    count matches the checkpoint's; the model is built in the stored tensors'
+    dtype and every non-head tensor is copied bitwise.
     """
     new_spec = ModelSpec(architecture=checkpoint.spec.architecture,
                          task=task, hyperparams=checkpoint.spec.hyperparams)
-    model = build(new_spec, seed)
+    model = build(new_spec, seed, _stored_dtype(checkpoint.tensors))
     prefix = model.head_prefix
     ckpt_backbone = {n for n in checkpoint.tensors if not n.startswith(prefix)}
     if not any(n.startswith(prefix) for n in checkpoint.tensors):

@@ -1,5 +1,7 @@
 """Brute-force reference implementations used to verify the metric suite,
-the bandpass filter and the backward passes of the strided window ops.
+the bandpass filter and the backward passes of the strided window ops, plus
+the per-input finite-difference loop that ``gradcheck`` ran before it became
+the one-tensor case of ``param_gradcheck``.
 
 Deliberately written with explicit python loops and none of the library's
 vectorized machinery, so agreement is meaningful. Conventions match the
@@ -13,6 +15,9 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from ecglearn.errors import AutodiffError
+from ecglearn.tensor import GradcheckReport, Tensor, no_grad
 
 
 def oracle_column_binarized(pred_col, tgt_col):
@@ -292,3 +297,73 @@ def oracle_avgpool2d_grad(x, g, kernel, stride):
         for v in range(kw):
             dx[:, :, u:u + hspan:sh, v:v + wspan:sw] += share
     return dx
+
+
+# ---------------------------------------------------------------------------
+# gradcheck's own loop, from before it ran through param_gradcheck: a fresh
+# perturbed copy of x per evaluation, its own determinism probe and scalar
+# guard. Kept verbatim, float() reads included, so reports can be compared
+# field for field.
+
+
+def _oracle_check_deterministic(evaluate):
+    y1 = evaluate()
+    y2 = evaluate()
+    if y1.shape != y2.shape or not np.array_equal(y1, y2):
+        raise AutodiffError(
+            "function is stochastic; freeze dropout and any other random op "
+            "before running gradcheck")
+    return y1
+
+
+def _oracle_scalar_guard(y):
+    if y.size != 1:
+        raise AutodiffError(
+            f"gradcheck needs a scalar output, got shape {y.shape}; "
+            "reduce with sum() or mean() first")
+
+
+def _oracle_sample_indices(n, max_elements, rng):
+    if max_elements is None or n <= max_elements:
+        return np.arange(n)
+    rng = rng or np.random.default_rng(0)
+    return np.sort(rng.choice(n, size=max_elements, replace=False))
+
+
+def oracle_gradcheck(f, x, tol=1e-4, step=1e-5, max_elements=None, rng=None):
+    """Compare autodiff dF/dx against central finite differences, per element."""
+    if x.dtype != np.float64:
+        raise AutodiffError(
+            f"gradcheck requires float64 input, got {x.dtype}; "
+            "finite differences are unreliable at single precision")
+
+    with no_grad():
+        y0 = _oracle_check_deterministic(
+            lambda: f(Tensor(x.data.copy())).data.copy())
+    if y0.size != 1:
+        _oracle_scalar_guard(Tensor(y0))
+
+    xt = Tensor(x.data.copy(), requires_grad=True)
+    y = f(xt)
+    _oracle_scalar_guard(y)
+    y.backward()
+    analytic = xt.grad if xt.grad is not None else np.zeros_like(x.data)
+
+    flat = x.data.reshape(-1)
+    idxs = _oracle_sample_indices(flat.size, max_elements, rng)
+    worst = (0.0, ())
+    for i in idxs:
+        base = flat[i]
+        probe = x.data.copy()
+        pflat = probe.reshape(-1)
+        with no_grad():
+            pflat[i] = base + step
+            fp = float(f(Tensor(probe.copy())).data)
+            pflat[i] = base - step
+            fm = float(f(Tensor(probe.copy())).data)
+        numeric = (fp - fm) / (2.0 * step)
+        a, n = float(analytic.reshape(-1)[i]), numeric
+        err = abs(a - n) / max(abs(a), abs(n), 1e-6)
+        if err > worst[0]:
+            worst = (err, np.unravel_index(i, x.shape))
+    return GradcheckReport(worst[0], worst[1], len(idxs), tol)

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from ecglearn.dataio import TaskKind, TaskSpec
 from ecglearn.errors import AutodiffError
+from ecglearn.learn import focal_loss
+from ecglearn.models import ModelSpec, build
 from ecglearn.tensor import (Tensor, functional as F, gradcheck, no_grad)
 from oracles import (oracle_avgpool1d, oracle_avgpool1d_grad,
                      oracle_avgpool2d_grad, oracle_conv1d, oracle_conv1d_grads,
                      oracle_conv2d_grads, oracle_depthwise_conv2d_grads,
-                     oracle_maxpool1d_grad)
+                     oracle_gradcheck, oracle_maxpool1d_grad)
+from test_acceptance import ARCH_GRADCHECK_HP, _primitive_cases
 
 
 def T64(arr, **kw):
@@ -230,6 +234,12 @@ class TestGradcheckGuards:
         with pytest.raises(AutodiffError, match="reduce"):
             gradcheck(lambda x: x * 2.0, T64(np.ones(3)))
 
+    def test_size_one_output_passes(self):
+        # backward() takes any size-1 output, so the loss reads must too
+        x = T64(np.linspace(-1.0, 1.0, 5))
+        report = gradcheck(lambda t: (t * t).sum(axis=0, keepdims=True), x)
+        assert report.passed and report.n_checked == 5
+
     def test_dropout_train_scales_and_eval_is_identity(self):
         x = T64(np.ones((4, 100)))
         rng = np.random.default_rng(5)
@@ -332,3 +342,60 @@ class TestWindowBackwardMatchesOracle:
         got, g = window_op_grads(F.avgpool2d, (x,), rng, kernel=kernel,
                                   stride=stride)
         assert_bitwise(got, [oracle_avgpool2d_grad(x, g, kernel, stride)])
+
+
+def _primitive_inputs(seed):
+    """Criterion 1's primitive cases, each with the input it checks them at."""
+    rng = np.random.default_rng(seed + 1000)
+    for name, f, shape in _primitive_cases(seed):
+        if shape is None:  # relu: keep inputs away from the kink
+            x = T64(np.sign(rng.normal(size=(6, 4)))
+                    * (0.1 + np.abs(rng.normal(size=(6, 4)))))
+        else:
+            x = T64(rng.normal(size=shape))
+        yield name, f, x
+
+
+def assert_same_report(new, old, what):
+    assert new.max_rel_err == old.max_rel_err, what
+    assert new.worst_index == old.worst_index, what
+    assert new.n_checked == old.n_checked, what
+    assert new.tol == old.tol, what
+    assert new.per_param == {}, what
+
+
+class TestGradcheckMatchesOracle:
+    """gradcheck through param_gradcheck reports exactly what its own
+    per-input loop reported."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_primitives(self, seed):
+        for name, f, x in _primitive_inputs(seed):
+            assert_same_report(gradcheck(f, x), oracle_gradcheck(f, x), name)
+
+    @pytest.mark.parametrize("arch", ARCH_GRADCHECK_HP)
+    def test_architecture_inputs(self, arch):
+        task = TaskSpec(TaskKind.MULTILABEL, ("a", "b", "c"))
+        for seed in (0, 1):
+            model = build(ModelSpec(arch, task, ARCH_GRADCHECK_HP[arch]),
+                          seed=seed, dtype=np.float64)
+            model.train_mode()
+            rng = np.random.default_rng(seed + 40)
+            x = T64(rng.normal(size=(2, 12, 64)))
+            targets = (rng.random((2, 3)) < 0.5).astype(np.float64)
+
+            def f(t):
+                return focal_loss(model.forward(t), targets)
+
+            new = gradcheck(f, x, max_elements=16,
+                            rng=np.random.default_rng(seed))
+            old = oracle_gradcheck(f, x, max_elements=16,
+                                   rng=np.random.default_rng(seed))
+            assert_same_report(new, old, f"{arch} seed {seed}")
+
+    def test_sampled_without_rng(self):
+        # max_elements without a generator: both sample from default_rng(0)
+        for name, f, x in _primitive_inputs(0):
+            if x.size > 20:
+                assert_same_report(gradcheck(f, x, max_elements=7),
+                                   oracle_gradcheck(f, x, max_elements=7), name)

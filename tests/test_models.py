@@ -10,6 +10,7 @@ from ecglearn.dataio import TaskKind, TaskSpec
 from ecglearn.errors import ModelError, ShapeError
 from ecglearn.models import (ARCHITECTURE_NAMES, Model, ModelSpec, build,
                              summarize_parameters)
+from ecglearn.models.architectures import _BUILDERS, _MIN_INPUT_LEN
 from ecglearn.tensor import Tensor, gradcheck
 from ecglearn.transfer import tensor_hashes
 
@@ -126,6 +127,11 @@ class TestSpecValidation:
         b = ModelSpec("ResNet18_1D", TASK5).fingerprint()
         c = ModelSpec("ResNet18_1D", TASK5, {"base_width": 32}).fingerprint()
         assert a == b and a != c
+
+    def test_builder_tables_name_every_architecture(self):
+        # a half-added architecture (name without builder, or the reverse)
+        assert set(_BUILDERS) == set(ARCHITECTURE_NAMES)
+        assert set(_MIN_INPUT_LEN) == set(ARCHITECTURE_NAMES)
 
 
 class TestParameterSummary:

@@ -31,6 +31,17 @@ class TestElementwise:
         scores = _scores_from_logits(logits, TaskKind.MULTILABEL)
         assert scores.dtype == np.float64
         assert np.array_equal(scores[0], out.data)
+        # multiclass scores: softmax over classes in float64, byte-equal to
+        # the inline evaluation used before it shared F.softmax
+        for dtype in (np.float32, np.float64):
+            logits = (np.random.default_rng(3).normal(size=(6, 4)) * 40).astype(dtype)
+            z = logits.astype(np.float64)
+            z = z - z.max(axis=1, keepdims=True)
+            e = np.exp(z)
+            expected = e / e.sum(axis=1, keepdims=True)
+            scores = _scores_from_logits(logits, TaskKind.MULTICLASS)
+            assert scores.dtype == np.float64
+            assert scores.tobytes() == expected.tobytes()
 
     def test_logsigmoid_matches_log_of_sigmoid(self):
         x = np.linspace(-20, 20, 41)
@@ -41,6 +52,13 @@ class TestElementwise:
         out = T(np.ones((2, 3, 4))) + T(np.arange(4.0))
         assert out.shape == (2, 3, 4)
         assert np.allclose(out.data[0, 0], 1.0 + np.arange(4.0))
+
+
+class TestItem:
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_size_one_reads_as_python_float(self, shape):
+        value = T(np.full(shape, 2.5)).item()
+        assert type(value) is float and value == 2.5
 
 
 class TestSoftmax:

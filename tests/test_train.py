@@ -96,6 +96,21 @@ class TestDivergenceAbort:
         assert err.value.epoch == 1 and err.value.batch == 0
 
 
+class TestSizeOneLoss:
+    def run_once(self, loss_fn):
+        manifest, records = small_dataset(n_per_class=8)
+        train, train_eval = loaders(manifest, records, seed=2, batch=8)
+        model = build(ModelSpec("ResNet18_1D", manifest.task, {"base_width": 4}),
+                      seed=7)
+        cfg = OptimizerConfig(lr=1e-3, batch_size=8, epochs=1, patience=5)
+        return train_model(model, train, train_eval, loss_fn, cfg).history
+
+    def test_shape_one_loss_trains_like_scalar(self):
+        # backward() takes a (1,) loss, so the loop's loss read must too
+        shaped = self.run_once(lambda z, y: focal_loss(z, y).reshape(1))
+        assert shaped == self.run_once(focal_loss)
+
+
 class TestEvaluate:
     def test_two_sweeps_identical(self):
         manifest, records = small_dataset(n_per_class=8)

@@ -120,8 +120,9 @@ class TestCheckpointRoundtrip:
 
 
 class TestAdaptHead:
-    def test_backbone_preserved_bitwise_head_fresh(self, tmp_path):
-        model = trained_small_model(task=TASK5, seed=3)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backbone_preserved_bitwise_head_fresh(self, tmp_path, dtype):
+        model = trained_small_model(task=TASK5, seed=3, dtype=dtype)
         save_checkpoint(model, {"source": "synthetic:unit"}, tmp_path / "m.ckpt")
         ckpt = load_checkpoint(tmp_path / "m.ckpt")
         adapted = adapt_head(ckpt, TASK1, seed=99)
@@ -130,7 +131,8 @@ class TestAdaptHead:
         for name, arr in new.items():
             if name.startswith("head."):
                 continue
-            assert np.array_equal(arr, old[name]), name
+            assert arr.dtype == dtype, name
+            assert arr.tobytes() == old[name].tobytes(), name
         assert new["head.weight"].shape == (32, 1)
 
     def test_same_k_still_reinitializes_head(self, tmp_path):
