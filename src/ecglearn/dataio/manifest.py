@@ -103,8 +103,15 @@ def load_manifest(directory: str | Path) -> DatasetManifest:
     if not meta_path.exists() or not csv_path.exists():
         raise DataError(f"{directory} is not a dataset directory "
                         "(needs meta.json and manifest.csv)")
-    meta = json.loads(meta_path.read_text())
-    task = TaskSpec.from_dict(meta["task"])
+    try:
+        meta = json.loads(meta_path.read_text())
+        if not isinstance(meta, dict):
+            raise TypeError("not a JSON object")
+        name, fs, task = meta["name"], float(meta["fs"]), TaskSpec.from_dict(meta["task"])
+    except KeyError as e:
+        raise DataError(f"{meta_path}: missing key {e}") from None
+    except (TypeError, ValueError, DataError) as e:
+        raise DataError(f"{meta_path}: malformed ({e})") from None
 
     rows = []
     with open(csv_path, newline="") as fh:
@@ -125,8 +132,7 @@ def load_manifest(directory: str | Path) -> DatasetManifest:
             rows.append(ManifestRow(
                 id=rec["id"], path=path,
                 labels=LabelVector.decode(rec["labels"], task), fold=fold))
-    return DatasetManifest(name=meta["name"], fs=float(meta["fs"]),
-                           task=task, rows=rows)
+    return DatasetManifest(name=name, fs=fs, task=task, rows=rows)
 
 
 def load_records(manifest: DatasetManifest, directory: str | Path) -> list[EcgRecord]:
@@ -140,6 +146,6 @@ def load_records(manifest: DatasetManifest, directory: str | Path) -> list[EcgRe
         rec = load_wfdb_record(directory / row.path)
         if rec.fs != manifest.fs:
             raise DataError(f"record {row.id!r}: fs {rec.fs} != dataset fs {manifest.fs}")
-        records.append(EcgRecord(signal=rec.signal, fs=rec.fs, id=row.id,
-                                 labels=row.labels))
+        rec.id, rec.labels = row.id, row.labels
+        records.append(rec)
     return records

@@ -56,7 +56,10 @@ def write_wfdb_record(base_path: str | Path, signal_mv: np.ndarray, fs: float,
 
 
 def _parse_gain_token(token: str) -> tuple[float, int]:
-    """'200(0)/mV' -> (200.0, 0); units and baseline are optional."""
+    """'200(0)/mV' -> (200.0, 0); units and baseline are optional.
+
+    A non-numeric field or a non-positive gain raises ValueError.
+    """
     token = token.split("/")[0]
     baseline = 0
     if "(" in token:
@@ -66,7 +69,7 @@ def _parse_gain_token(token: str) -> tuple[float, int]:
         gain_s = token
     gain = float(gain_s)
     if gain <= 0:
-        raise DataError(f"non-positive gain {gain} in header")
+        raise ValueError(f"non-positive gain {gain}")
     return gain, baseline
 
 
@@ -77,10 +80,14 @@ def load_wfdb_record(header_path: str | Path) -> EcgRecord:
         raise DataError(f"header not found: {header_path}")
     lines = [ln.strip() for ln in header_path.read_text().splitlines()
              if ln.strip() and not ln.startswith("#")]
-    head = lines[0].split()
-    if len(head) < 4:
-        raise DataError(f"{header_path.name}: malformed record line {lines[0]!r}")
-    name, n_sig, fs, m = head[0], int(head[1]), float(head[2]), int(head[3])
+    if not lines:
+        raise DataError(f"{header_path.name}: empty header")
+    try:
+        head = lines[0].split()
+        name, n_sig, fs, m = head[0], int(head[1]), float(head[2]), int(head[3])
+    except (IndexError, ValueError):
+        raise DataError(
+            f"{header_path.name}: malformed record line {lines[0]!r}") from None
     if n_sig != N_LEADS:
         raise DataError(
             f"{header_path.name}: expected {N_LEADS} signals, header declares {n_sig}")
@@ -98,7 +105,11 @@ def load_wfdb_record(header_path: str | Path) -> EcgRecord:
                 f"{header_path.name}: unsupported sample format {fields[1]!r} "
                 "(only 16-bit little-endian is supported)")
         dat_names.append(fields[0])
-        g, b = _parse_gain_token(fields[2])
+        try:
+            g, b = _parse_gain_token(fields[2])
+        except ValueError as e:
+            raise DataError(
+                f"{header_path.name}: bad gain {fields[2]!r} ({e})") from None
         gains.append(g)
         baselines.append(b)
     if len(set(dat_names)) != 1:

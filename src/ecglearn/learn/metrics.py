@@ -174,9 +174,7 @@ def compute_metrics(scores: np.ndarray, targets: np.ndarray,
 
     macro = {m: binarized_sums[m] / k for m in binarized_sums}
     return MetricsReport(
-        accuracy=macro["accuracy"], f1=macro["f1"],
+        **macro,
         map=float(np.mean(ap_values)) if ap_values else float("nan"),
-        gmean=macro["gmean"],
         auc=float(np.mean(auc_values)) if auc_values else float("nan"),
-        sensitivity=macro["sensitivity"], specificity=macro["specificity"],
-        ppv=macro["ppv"], per_class=per_class, warnings=warnings, n_samples=n)
+        per_class=per_class, warnings=warnings, n_samples=n)

@@ -19,19 +19,16 @@ from ..dataio.labels import TaskKind
 from ..errors import TrainingDivergedError
 from ..models.architectures import Model
 from ..tensor import Tensor, functional as F, no_grad
-from .metrics import MetricsReport, compute_metrics
+from .metrics import METRIC_NAMES, MetricsReport, compute_metrics
 from .optim import Adam, OptimizerConfig
 
 __all__ = ["TrainResult", "train_model", "evaluate", "history_row_names"]
 
 LossFn = Callable[[Tensor, np.ndarray], Tensor]
 
-_VAL_METRICS = ("accuracy", "f1", "map", "gmean", "auc",
-                "sensitivity", "specificity", "ppv")
-
 
 def history_row_names() -> list[str]:
-    return ["epoch", "train_loss"] + [f"val_{m}" for m in _VAL_METRICS]
+    return ["epoch", "train_loss"] + [f"val_{m}" for m in METRIC_NAMES]
 
 
 @dataclass
@@ -93,7 +90,7 @@ def train_model(model: Model, train_loader: BatchLoader,
 
         report = evaluate(model, val_loader)
         row = {"epoch": epoch, "train_loss": float(np.mean(losses))}
-        for m in _VAL_METRICS:
+        for m in METRIC_NAMES:
             row[f"val_{m}"] = getattr(report, m)
         result.history.append(row)
         if log:

@@ -166,12 +166,10 @@ class Linear(Module):
         else:
             w = init.xavier_uniform((n_in, n_out), n_in, n_out, rng, dtype)
         self.weight = Parameter(w)
-        if bias:
-            self.bias = Parameter(init.zeros(n_out, dtype))
-        self.has_bias = bias
+        self.bias = Parameter(init.zeros(n_out, dtype)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.linear(x, self.weight, self.bias if self.has_bias else None)
+        return F.linear(x, self.weight, self.bias)
 
 
 class Conv1d(Module):
@@ -183,12 +181,10 @@ class Conv1d(Module):
         self.padding = padding
         self.weight = Parameter(
             init.he_uniform((out_ch, in_ch, kernel), in_ch * kernel, rng, dtype))
-        if bias:
-            self.bias = Parameter(init.zeros(out_ch, dtype))
-        self.has_bias = bias
+        self.bias = Parameter(init.zeros(out_ch, dtype)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv1d(x, self.weight, self.bias if self.has_bias else None,
+        return F.conv1d(x, self.weight, self.bias,
                         stride=self.stride, padding=self.padding)
 
 
@@ -202,12 +198,10 @@ class Conv2d(Module):
         self.padding = padding
         self.weight = Parameter(
             init.he_uniform((out_ch, in_ch, kh, kw), in_ch * kh * kw, rng, dtype))
-        if bias:
-            self.bias = Parameter(init.zeros(out_ch, dtype))
-        self.has_bias = bias
+        self.bias = Parameter(init.zeros(out_ch, dtype)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.conv2d(x, self.weight, self.bias if self.has_bias else None,
+        return F.conv2d(x, self.weight, self.bias,
                         stride=self.stride, padding=self.padding)
 
 
@@ -221,14 +215,11 @@ class DepthwiseConv2d(Module):
         self.padding = padding
         self.weight = Parameter(
             init.he_uniform((channels, depth_mult, kh, kw), kh * kw, rng, dtype))
-        if bias:
-            self.bias = Parameter(init.zeros(channels * depth_mult, dtype))
-        self.has_bias = bias
+        self.bias = Parameter(init.zeros(channels * depth_mult, dtype)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.depthwise_conv2d(
-            x, self.weight, self.bias if self.has_bias else None,
-            stride=self.stride, padding=self.padding)
+        return F.depthwise_conv2d(x, self.weight, self.bias,
+                                  stride=self.stride, padding=self.padding)
 
 
 class _BatchNorm(Module):

@@ -4,7 +4,8 @@ Convolutions are computed directly (im2col + BLAS matmul, no FFT), which is
 exact and fast enough at the signal lengths this package targets. 1-d
 convolution and average pooling run on the 2-d kernels as their height-1
 case, so there is one im2col convolution. Every window op's backward pass
-sums its window gradients back through one col2im scatter. Every op
+sums its window gradients back through one col2im scatter. Batch and layer
+normalization are one node, ``_normalize``, over different axes. Every op
 validates its shape algebra up front and raises ShapeError naming the op and
 the offending dimensions; a conforming call always produces the documented
 output shape.
@@ -308,6 +309,33 @@ def avgpool2d(x: Tensor, kernel: tuple[int, int],
 # normalization
 
 
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu, var, eps: float,
+               stat_axes: tuple, param_axes: tuple, batch_stats: bool) -> Tensor:
+    """gamma * (x - mu) / sqrt(var + eps) + beta; gamma and beta broadcast over
+    (and their gradients sum over) ``param_axes``. With ``batch_stats``, mu and
+    var are x's own statistics over ``stat_axes`` and dx takes their terms."""
+    pshape = tuple(1 if a in param_axes else n for a, n in enumerate(x.shape))
+    gam = gamma.data.reshape(pshape)
+    bet = beta.data.reshape(pshape)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv_std
+    data = (gam * xhat + bet).astype(x.dtype, copy=False)
+    n = int(np.prod([x.shape[a] for a in stat_axes]))
+
+    def backward(g):
+        dbeta = g.sum(axis=param_axes)
+        dgamma = (g * xhat).sum(axis=param_axes)
+        dxhat = g * gam
+        if batch_stats:
+            dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=stat_axes, keepdims=True)
+                                  - xhat * (dxhat * xhat).sum(axis=stat_axes, keepdims=True))
+        else:
+            dx = dxhat * inv_std
+        return np.ascontiguousarray(dx), dgamma, dbeta
+
+    return Tensor._from_op(data, (x, gamma, beta), backward)
+
+
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
               running_mean: np.ndarray, running_var: np.ndarray,
               training: bool, momentum: float = 0.1, eps: float = 1e-5,
@@ -325,10 +353,6 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     if gamma.shape != (C,) or beta.shape != (C,):
         raise ShapeError(f"batchnorm: gamma/beta must have shape ({C},)")
     axes = (0,) + tuple(range(2, x.ndim))
-    pshape = (1, C) + (1,) * (x.ndim - 2)
-    gam = gamma.data.reshape(pshape)
-    bet = beta.data.reshape(pshape)
-
     if training:
         mu = x.data.mean(axis=axes, keepdims=True)
         var = x.data.var(axis=axes, keepdims=True)
@@ -338,29 +362,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         if not np.any(running_var):
             raise ShapeError("batchnorm eval mode requires populated running stats")
-        mu = running_mean.reshape(pshape)
-        var = running_var.reshape(pshape)
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
-    data = (gam * xhat + bet).astype(x.dtype, copy=False)
-    n = int(np.prod([x.shape[a] for a in axes]))
-
-    def backward(g):
-        dbeta = g.sum(axis=axes)
-        dgamma = (g * xhat).sum(axis=axes)
-        dxhat = g * gam
-        if training:
-            dx = (inv_std / n) * (
-                n * dxhat
-                - dxhat.sum(axis=axes, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
-            )
-        else:
-            dx = dxhat * inv_std
-        return np.ascontiguousarray(dx), dgamma, dbeta
-
-    return Tensor._from_op(data, (x, gamma, beta), backward)
+        pshape = (1, C) + (1,) * (x.ndim - 2)
+        mu, var = running_mean.reshape(pshape), running_var.reshape(pshape)
+    return _normalize(x, gamma, beta, mu, var, eps, axes, axes, training)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -370,20 +374,5 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"layernorm: gamma/beta must have shape ({H},)")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
-    data = (gamma.data * xhat + beta.data).astype(x.dtype, copy=False)
-    reduce_axes = tuple(range(x.ndim - 1))
-
-    def backward(g):
-        dbeta = g.sum(axis=reduce_axes)
-        dgamma = (g * xhat).sum(axis=reduce_axes)
-        dxhat = g * gamma.data
-        dx = (inv_std / H) * (
-            H * dxhat
-            - dxhat.sum(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-        )
-        return np.ascontiguousarray(dx), dgamma, dbeta
-
-    return Tensor._from_op(data, (x, gamma, beta), backward)
+    return _normalize(x, gamma, beta, mu, var, eps, (x.ndim - 1,),
+                      tuple(range(x.ndim - 1)), True)

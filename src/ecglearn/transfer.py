@@ -153,6 +153,11 @@ def load_checkpoint(path: str | Path, validate_shapes: bool = True) -> Checkpoin
         header = json.loads(data[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path.name}: corrupt header ({e})") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path.name}: corrupt header (not a JSON object)")
+    missing = [k for k in ("version", "spec", "fingerprint", "tensors") if k not in header]
+    if missing:
+        raise CheckpointError(f"{path.name}: corrupt header (missing {', '.join(missing)})")
     if header["version"] != _VERSION:
         raise CheckpointError(
             f"{path.name}: format version {header['version']} is not "

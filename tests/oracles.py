@@ -1,7 +1,8 @@
 """Brute-force reference implementations used to verify the metric suite,
 the bandpass filter and the backward passes of the strided window ops, plus
 the per-input finite-difference loop that ``gradcheck`` ran before it became
-the one-tensor case of ``param_gradcheck``.
+the one-tensor case of ``param_gradcheck``, and the batch and layer norm
+nodes from before they shared one forward and backward.
 
 Deliberately written with explicit python loops and none of the library's
 vectorized machinery, so agreement is meaningful. Conventions match the
@@ -16,7 +17,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ecglearn.errors import AutodiffError
+from ecglearn.errors import AutodiffError, ShapeError
 from ecglearn.tensor import GradcheckReport, Tensor, no_grad
 
 
@@ -367,3 +368,81 @@ def oracle_gradcheck(f, x, tol=1e-4, step=1e-5, max_elements=None, rng=None):
         if err > worst[0]:
             worst = (err, np.unravel_index(i, x.shape))
     return GradcheckReport(worst[0], worst[1], len(idxs), tol)
+
+
+# ---------------------------------------------------------------------------
+# batch and layer normalization, each with its own forward and backward, from
+# before both ran through one node. Kept verbatim, so outputs, gradients and
+# running buffers can be compared byte for byte; they take and return Tensors
+# with the signatures of functional.batchnorm and functional.layernorm.
+
+
+def oracle_batchnorm(x, gamma, beta, running_mean, running_var, training,
+                     momentum=0.1, eps=1e-5, update_stats=True):
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"batchnorm expects [B,C,L] or [B,C,H,W], got {x.shape}")
+    C = x.shape[1]
+    if gamma.shape != (C,) or beta.shape != (C,):
+        raise ShapeError(f"batchnorm: gamma/beta must have shape ({C},)")
+    axes = (0,) + tuple(range(2, x.ndim))
+    pshape = (1, C) + (1,) * (x.ndim - 2)
+    gam = gamma.data.reshape(pshape)
+    bet = beta.data.reshape(pshape)
+
+    if training:
+        mu = x.data.mean(axis=axes, keepdims=True)
+        var = x.data.var(axis=axes, keepdims=True)
+        if update_stats:
+            running_mean += momentum * (mu.reshape(C) - running_mean)
+            running_var += momentum * (var.reshape(C) - running_var)
+    else:
+        if not np.any(running_var):
+            raise ShapeError("batchnorm eval mode requires populated running stats")
+        mu = running_mean.reshape(pshape)
+        var = running_var.reshape(pshape)
+
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv_std
+    data = (gam * xhat + bet).astype(x.dtype, copy=False)
+    n = int(np.prod([x.shape[a] for a in axes]))
+
+    def backward(g):
+        dbeta = g.sum(axis=axes)
+        dgamma = (g * xhat).sum(axis=axes)
+        dxhat = g * gam
+        if training:
+            dx = (inv_std / n) * (
+                n * dxhat
+                - dxhat.sum(axis=axes, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
+            )
+        else:
+            dx = dxhat * inv_std
+        return np.ascontiguousarray(dx), dgamma, dbeta
+
+    return Tensor._from_op(data, (x, gamma, beta), backward)
+
+
+def oracle_layernorm(x, gamma, beta, eps=1e-5):
+    H = x.shape[-1]
+    if gamma.shape != (H,) or beta.shape != (H,):
+        raise ShapeError(f"layernorm: gamma/beta must have shape ({H},)")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv_std
+    data = (gamma.data * xhat + beta.data).astype(x.dtype, copy=False)
+    reduce_axes = tuple(range(x.ndim - 1))
+
+    def backward(g):
+        dbeta = g.sum(axis=reduce_axes)
+        dgamma = (g * xhat).sum(axis=reduce_axes)
+        dxhat = g * gamma.data
+        dx = (inv_std / H) * (
+            H * dxhat
+            - dxhat.sum(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
+        )
+        return np.ascontiguousarray(dx), dgamma, dbeta
+
+    return Tensor._from_op(data, (x, gamma, beta), backward)

@@ -9,9 +9,10 @@ from ecglearn.learn import focal_loss
 from ecglearn.models import ModelSpec, build
 from ecglearn.tensor import (Tensor, functional as F, gradcheck, no_grad)
 from oracles import (oracle_avgpool1d, oracle_avgpool1d_grad,
-                     oracle_avgpool2d_grad, oracle_conv1d, oracle_conv1d_grads,
-                     oracle_conv2d_grads, oracle_depthwise_conv2d_grads,
-                     oracle_gradcheck, oracle_maxpool1d_grad)
+                     oracle_avgpool2d_grad, oracle_batchnorm, oracle_conv1d,
+                     oracle_conv1d_grads, oracle_conv2d_grads,
+                     oracle_depthwise_conv2d_grads, oracle_gradcheck,
+                     oracle_layernorm, oracle_maxpool1d_grad)
 from test_acceptance import ARCH_GRADCHECK_HP, _primitive_cases
 
 
@@ -270,6 +271,51 @@ DTYPES = (np.float32, np.float64)
 PADS_2D = [((1, 1), (0, 0), (3, 3)),
            ((2, 1), ((1, 2), (0, 1)), (2, 3)),
            ((1, 3), (1, (2, 0)), (3, 2))]
+
+
+def norm_outputs(op, x, gamma, beta, *buffers, **kw):
+    """Output and x, gamma, beta gradients of a normalization op under a fixed
+    random upstream gradient, then the (possibly updated) running buffers."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+    out = op(*leaves, *buffers, **kw)
+    g = np.random.default_rng(1).normal(size=out.shape).astype(out.dtype)
+    (out * Tensor(g)).sum().backward()
+    return [out.data] + [t.grad for t in leaves] + list(buffers)
+
+
+class TestNormalizationMatchesOracle:
+    """Bit-identity of batchnorm and layernorm (forward, every gradient and
+    the running buffers) with their frozen pre-merge nodes."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(4, 6, 33), (3, 5, 4, 7), (1, 3, 1)])
+    @pytest.mark.parametrize("mode", ["train", "eval", "frozen_stats"])
+    def test_batchnorm(self, dtype, shape, mode):
+        rng = np.random.default_rng(sum(shape))
+        C = shape[1]
+        x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+        gamma, beta = (rng.normal(size=C).astype(dtype) for _ in range(2))
+        mean0 = rng.normal(size=C).astype(dtype)
+        var0 = rng.uniform(0.5, 2.0, size=C).astype(dtype)
+        kw = {"training": mode != "eval", "update_stats": mode == "train",
+              "momentum": 0.3}
+        got = norm_outputs(F.batchnorm, x, gamma, beta, mean0.copy(),
+                           var0.copy(), **kw)
+        want = norm_outputs(oracle_batchnorm, x, gamma, beta, mean0.copy(),
+                            var0.copy(), **kw)
+        assert_bitwise(got, want)
+        stats_moved = not np.array_equal(got[4], mean0)
+        assert stats_moved == (mode == "train")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(9,), (5, 8), (2, 7, 16), (2, 3, 4, 6)])
+    def test_layernorm(self, dtype, shape):
+        rng = np.random.default_rng(len(shape))
+        x = (rng.normal(size=shape) * 2 - 1).astype(dtype)
+        gamma, beta = (rng.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+        got = norm_outputs(F.layernorm, x, gamma, beta, eps=1e-4)
+        want = norm_outputs(oracle_layernorm, x, gamma, beta, eps=1e-4)
+        assert_bitwise(got, want)
 
 
 class TestWindowBackwardMatchesOracle:

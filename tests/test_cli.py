@@ -9,6 +9,11 @@ import pytest
 
 from ecglearn.cli import main
 from ecglearn.config import RunConfig, config_to_dict
+from ecglearn.transfer import save_checkpoint
+from test_dataio import (MALFORMED_HEADERS, MALFORMED_META, corrupt_meta,
+                         write_malformed_record)
+from test_transfer import (MALFORMED_CKPT_HEADERS, rewrite_header,
+                           trained_small_model)
 
 
 def cli(*argv) -> int:
@@ -308,6 +313,41 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nope.ckpt" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_import_lists_malformed_header(self, tmp_path, capsys, case):
+        from ecglearn.dataio import write_wfdb_record
+        src = tmp_path / "raw"
+        for i in range(3):
+            write_wfdb_record(src / f"ok{i}", np.zeros((12, 10)), fs=500.0)
+        write_malformed_record(src / "r", case)
+        (src / "labels.csv").write_text("id,labels\nok0,a\nok1,b\nok2,a\nr,b\n")
+        rc = cli("prepare", "--out", tmp_path / "d", "--import-dir", src,
+                 "--labels", src / "labels.csv", "--task", "multilabel")
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "malformed record r: r.hea: " in out
+        assert err.startswith("error: 1 malformed records")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_META))
+    def test_malformed_meta_is_data_error(self, tmp_path, dataset, capsys, case):
+        corrupt_meta(dataset, case)
+        rc = cli("train", "--config", write_config(tmp_path, dataset),
+                 "--data", dataset, "--out", tmp_path / "r")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "meta.json" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CKPT_HEADERS))
+    def test_malformed_checkpoint_header_is_runtime_error(self, tmp_path, capsys,
+                                                          case):
+        path = save_checkpoint(trained_small_model(), {"source": "none"},
+                               tmp_path / "m.ckpt")
+        rewrite_header(path, MALFORMED_CKPT_HEADERS[case])
+        assert cli("verify-checkpoint", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: m.ckpt: corrupt header")
 
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path, dataset):
         bad = tmp_path / "bad.ckpt"

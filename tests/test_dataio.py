@@ -1,5 +1,7 @@
 """Record files, manifests, splits, synthetic generation, batch iteration."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,46 @@ from ecglearn.augment import AugmentConfig
 from ecglearn.errors import DataError, SplitError
 from ecglearn.signal import EcgRecord, FilterSpec, design_butterworth_bandpass
 from oracles import oracle_bandpass
+
+
+# malformed headers for a record "r" of 10 samples at 500 Hz: the whole header
+# text to write, or the (old, new) substitution made once in a valid one
+MALFORMED_HEADERS = {
+    "empty": "",
+    "signal-count": ("r 12 500 10", "r twelve 500 10"),
+    "fs": ("r 12 500 10", "r 12 fast 10"),
+    "samples": ("r 12 500 10", "r 12 500 ten"),
+    "gain": ("200(0)/mV", "high(0)/mV"),
+    "baseline": ("200(0)/mV", "200(zero)/mV"),
+}
+
+
+def write_malformed_record(base, case):
+    """Write record ``base`` and corrupt its header as MALFORMED_HEADERS[case]."""
+    header = write_wfdb_record(base, np.zeros((12, 10)), fs=500.0)
+    edit = MALFORMED_HEADERS[case]
+    text = header.read_text()
+    header.write_text(edit if isinstance(edit, str) else text.replace(*edit, 1))
+    return header
+
+
+# meta.json edits: replacement text, or a function of the parsed object
+MALFORMED_META = {
+    "invalid-json": "{name: ds",
+    "not-object": "[1, 2]",
+    "no-name": lambda m: {k: v for k, v in m.items() if k != "name"},
+    "no-fs": lambda m: {k: v for k, v in m.items() if k != "fs"},
+    "no-task": lambda m: {k: v for k, v in m.items() if k != "task"},
+    "fs-not-number": lambda m: {**m, "fs": "fast"},
+    "unknown-task-kind": lambda m: {**m, "task": {**m["task"], "kind": "ordinal"}},
+}
+
+
+def corrupt_meta(directory, case):
+    meta = directory / "meta.json"
+    edit = MALFORMED_META[case]
+    meta.write_text(edit if isinstance(edit, str)
+                    else json.dumps(edit(json.loads(meta.read_text()))))
 
 
 class TestWfdbRecords:
@@ -51,6 +93,12 @@ class TestWfdbRecords:
         (tmp_path / "t.dat").write_bytes(data[:-1])
         with pytest.raises(DataError, match="expected 2400 bytes.*found 2399"):
             load_wfdb_record(tmp_path / "t.hea")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_malformed_header_is_data_error(self, tmp_path, case):
+        header = write_malformed_record(tmp_path / "r", case)
+        with pytest.raises(DataError, match=r"^r\.hea: "):
+            load_wfdb_record(header)
 
     def test_wrong_lead_count_rejected(self, tmp_path):
         write_wfdb_record(tmp_path / "w", np.zeros((12, 10)), fs=500.0)
@@ -198,6 +246,26 @@ class TestSaveLoadRoundtrip:
         body = [",".join(ln.split(",")[:3]) for ln in lines[1:]]
         csv_path.write_text("\n".join([lines[0]] + body) + "\n")
         with pytest.raises(DataError, match="missing columns: fold"):
+            load_manifest(tmp_path / "ds")
+
+    def test_loaded_records_are_the_record_files(self, tmp_path):
+        m, recs = generate_synthetic_dataset(2, 4, TaskKind.MULTICLASS, seed=13,
+                                             length=300, n_folds=4)
+        save_dataset(m, recs, tmp_path / "ds")
+        loaded = load_manifest(tmp_path / "ds")
+        back = load_records(loaded, tmp_path / "ds")
+        for row, rec in zip(loaded.rows, back):
+            ref = load_wfdb_record(tmp_path / "ds" / row.path)
+            assert rec.signal.tobytes() == ref.signal.tobytes()
+            assert (rec.id, rec.fs, rec.labels) == (row.id, ref.fs, row.labels)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_META))
+    def test_malformed_meta_is_data_error(self, tmp_path, case):
+        m, recs = generate_synthetic_dataset(2, 4, TaskKind.MULTICLASS, seed=14,
+                                             length=300, n_folds=4)
+        save_dataset(m, recs, tmp_path / "ds")
+        corrupt_meta(tmp_path / "ds", case)
+        with pytest.raises(DataError, match=r"meta\.json: "):
             load_manifest(tmp_path / "ds")
 
     def test_missing_referenced_file(self, tmp_path):

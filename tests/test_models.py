@@ -11,8 +11,10 @@ from ecglearn.errors import ModelError, ShapeError
 from ecglearn.models import (ARCHITECTURE_NAMES, Model, ModelSpec, build,
                              summarize_parameters)
 from ecglearn.models.architectures import _BUILDERS, _MIN_INPUT_LEN
-from ecglearn.tensor import Tensor, gradcheck
+from ecglearn.learn import focal_loss
+from ecglearn.tensor import Tensor, functional as F, gradcheck
 from ecglearn.transfer import tensor_hashes
+from oracles import oracle_batchnorm, oracle_layernorm
 
 TASK5 = TaskSpec(TaskKind.MULTILABEL, tuple(f"c{i}" for i in range(5)))
 TASK9 = TaskSpec(TaskKind.MULTILABEL, tuple(f"c{i}" for i in range(9)))
@@ -222,6 +224,57 @@ class TestCheckpointCompatibility:
         assert sha256_hex("\n".join(names)) == names_digest
         hashes = tensor_hashes(model.state_dict())
         assert sha256_hex(json.dumps(hashes, sort_keys=True)) == hashes_digest
+
+
+NORM_STEP_HP = {
+    "ResNet18_1D": {"base_width": 4},
+    "EEGNet2D": {"f1": 2, "depth_mult": 2, "f2": 4, "kern_length": 17},
+    "CRNN_GRU": {"base_width": 4, "hidden_size": 8, "num_layers": 1},
+    "TransformerEnc": {"embed_dim": 16, "num_heads": 2, "num_layers": 2,
+                       "ffn_dim": 32, "max_tokens": 64},
+}
+
+
+class TestNormalizationStepMatchesOracle:
+    """One training step, then an eval pass, through the shared normalization
+    node and again through the frozen pre-merge batchnorm and layernorm."""
+
+    @staticmethod
+    def step(arch):
+        model = build(ModelSpec(arch, TASK5, NORM_STEP_HP[arch]), seed=3)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(4, 12, 256)).astype(np.float32)
+        y = (rng.random((4, 5)) < 0.5).astype(np.float32)
+        model.train_mode()
+        loss = focal_loss(model.forward(x), y)
+        model.zero_grad()
+        loss.backward()
+        grads = {n: p.grad for n, p in model.named_parameters().items()}
+        logits = model.eval_mode().forward(x).data
+        return loss.data, grads, model.state_dict(), logits
+
+    @pytest.mark.parametrize("arch", sorted(NORM_STEP_HP))
+    def test_loss_gradients_buffers_bitwise(self, arch, monkeypatch):
+        got = self.step(arch)
+        calls = {"batchnorm": 0, "layernorm": 0}
+
+        def counted(name, oracle):
+            def op(*args, **kw):
+                calls[name] += 1
+                return oracle(*args, **kw)
+            return op
+
+        monkeypatch.setattr(F, "batchnorm", counted("batchnorm", oracle_batchnorm))
+        monkeypatch.setattr(F, "layernorm", counted("layernorm", oracle_layernorm))
+        want = self.step(arch)
+        assert calls["layernorm" if arch == "TransformerEnc" else "batchnorm"] > 0
+        loss, grads, state, logits = got
+        assert loss.tobytes() == want[0].tobytes()
+        assert logits.tobytes() == want[3].tobytes()
+        for table, ref in ((grads, want[1]), (state, want[2])):
+            assert list(table) == list(ref)
+            for name in table:
+                assert table[name].tobytes() == ref[name].tobytes(), name
 
 
 class TestTinyGradcheck:

@@ -51,6 +51,28 @@ def rewrite_tensor_table(path, edit):
                      + b"".join(blocks))
 
 
+def rewrite_header(path, edit):
+    """Re-encode a checkpoint's JSON header as ``edit(header)``; the data
+    section stays."""
+    raw = path.read_bytes()
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    blob = json.dumps(edit(json.loads(raw[16:end]))).encode("utf-8")
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[end:])
+
+
+def without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+# headers that are valid JSON but not a checkpoint header
+MALFORMED_CKPT_HEADERS = {
+    "list": list,
+    "string": lambda header: "header",
+    **{f"no-{key}": without(key)
+       for key in ("version", "spec", "fingerprint", "tensors")},
+}
+
+
 class TestCheckpointRoundtrip:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_roundtrip(self, tmp_path, dtype):
@@ -111,6 +133,14 @@ class TestCheckpointRoundtrip:
         rewrite_tensor_table(path, edit)
         load_checkpoint(path, validate_shapes=False)   # still well formed
         with pytest.raises(CheckpointError, match=r"m\.ckpt: .*" + message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CKPT_HEADERS))
+    def test_malformed_header_is_checkpoint_error(self, tmp_path, case):
+        path = save_checkpoint(trained_small_model(), {"source": "none"},
+                               tmp_path / "m.ckpt")
+        rewrite_header(path, MALFORMED_CKPT_HEADERS[case])
+        with pytest.raises(CheckpointError, match=r"m\.ckpt: corrupt header"):
             load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
