@@ -10,6 +10,7 @@ reconstructed as (raw - baseline) / gain, per lead.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -88,6 +89,9 @@ def load_wfdb_record(header_path: str | Path) -> EcgRecord:
     except (IndexError, ValueError):
         raise DataError(
             f"{header_path.name}: malformed record line {lines[0]!r}") from None
+    if not (math.isfinite(fs) and fs > 0):
+        raise DataError(f"{header_path.name}: sampling rate must be finite and "
+                        f"positive, got {head[2]!r}")
     if n_sig != N_LEADS:
         raise DataError(
             f"{header_path.name}: expected {N_LEADS} signals, header declares {n_sig}")

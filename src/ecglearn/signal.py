@@ -72,8 +72,9 @@ class EcgRecord:
                 f"got shape {self.signal.shape}")
         if self.signal.shape[1] < 1:
             raise SignalError(f"record {self.id!r}: empty signal")
-        if self.fs <= 0:
-            raise SignalError(f"record {self.id!r}: fs must be positive, got {self.fs}")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise SignalError(
+                f"record {self.id!r}: fs must be finite and positive, got {self.fs}")
         if not np.all(np.isfinite(self.signal)):
             raise SignalError(f"record {self.id!r}: signal contains NaN/Inf")
 
@@ -100,6 +101,8 @@ class FilterSpec:
         if not 0 < self.low_cut < self.high_cut:
             raise SignalError(
                 f"need 0 < low_cut < high_cut, got {self.low_cut}, {self.high_cut}")
+        if not math.isfinite(self.fs):
+            raise SignalError(f"fs must be finite, got {self.fs}")
         if self.fs <= 2 * self.high_cut:
             raise SignalError(
                 f"Nyquist violation: fs={self.fs} must exceed 2*high_cut="

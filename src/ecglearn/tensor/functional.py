@@ -1,14 +1,14 @@
 """Differentiable neural-network primitives on top of the Tensor graph.
 
 Convolutions are computed directly (im2col + BLAS matmul, no FFT), which is
-exact and fast enough at the signal lengths this package targets. 1-d
-convolution and average pooling run on the 2-d kernels as their height-1
-case, so there is one im2col convolution. Every window op's backward pass
-sums its window gradients back through one col2im scatter. Batch and layer
-normalization are one node, ``_normalize``, over different axes. Every op
-validates its shape algebra up front and raises ShapeError naming the op and
-the offending dimensions; a conforming call always produces the documented
-output shape.
+exact and fast enough at the signal lengths this package targets. Every
+convolution and pool is one graph node: one prologue, ``_windows``, pads and
+windows its input, and one col2im scatter sums the window gradients back.
+1-d ops run the 2-d kernels on height-1 views inside that one node. Batch
+and layer normalization are one node, ``_normalize``, over different axes.
+Every op validates its shape algebra up front and raises ShapeError naming
+the op and the offending dimensions; a conforming call always produces the
+documented output shape.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# im2col scatter (col2im)
+# window ops: one prologue, one col2im scatter and one graph node per call
 
 
 def _col2im(dwin: np.ndarray, strides: tuple, padded: tuple) -> np.ndarray:
@@ -124,8 +124,84 @@ def _col2im(dwin: np.ndarray, strides: tuple, padded: tuple) -> np.ndarray:
     return dxp
 
 
+def _windows(x: np.ndarray, kernel: tuple, stride: tuple, padding: tuple,
+             err: str, fill: float = 0.0):
+    """Pad [B, C, H, W] ``x`` with ``fill`` (each ``padding`` entry an int or a
+    (before, after) pair), raise ShapeError(``err`` formatted with kh, kw, hp
+    and wp) if ``kernel`` does not fit, and return the strided windows
+    [B, C, Ho, Wo, KH, KW] and ``scatter``, which sums window gradients back
+    onto x's grid."""
+    (ph0, ph1), (pw0, pw1) = ((p, p) if isinstance(p, int) else p for p in padding)
+    crop = (..., slice(ph0, ph0 + x.shape[2]), slice(pw0, pw0 + x.shape[3]))
+    if ph0 or ph1 or pw0 or pw1:
+        x = np.pad(x, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1)), constant_values=fill)
+    (kh, kw), (hp, wp) = kernel, x.shape[2:]
+    if kh > hp or kw > wp:
+        raise ShapeError(err.format(kh=kh, kw=kw, hp=hp, wp=wp))
+    win = sliding_window_view(x, kernel, axis=(2, 3))[:, :, ::stride[0], ::stride[1]]
+    return win, lambda dwin: np.ascontiguousarray(_col2im(dwin, stride, (hp, wp))[crop])
+
+
+def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """The one graph node of a window op. When the input is 1-d the op ran
+    on height-1 views: the output drops that axis and every gradient is
+    reshaped back to its parent's shape."""
+    if parents[0].ndim == 4:
+        return Tensor._from_op(data, parents, backward)
+    return Tensor._from_op(data[:, :, 0], parents, lambda g: tuple(
+        d.reshape(p.shape) for p, d in zip(parents, backward(g[:, :, None]))))
+
+
+def _conv_node(out: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None,
+               backward) -> Tensor:
+    """A convolution's node: ``backward`` gives (dx, dw); the bias, if any,
+    broadcasts over and its gradient sums g over every axis but channels."""
+    if b is None:
+        return _node(out, (x, w), backward)
+    return _node(out + b.data.reshape(1, -1, 1, 1), (x, w, b),
+                 lambda g: backward(g) + (g.sum(axis=(0, 2, 3)),))
+
+
+def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride, padding, op: str,
+          err: str) -> Tensor:
+    """im2col cross-correlation of [B, C, H, W] with [O, C, KH, KW] (or of
+    their 1-d, height-1 forms)."""
+    xd, wd = (t.data if t.ndim == 4 else t.data[:, :, None] for t in (x, w))
+    B, C, _, _ = xd.shape
+    O, Cw, KH, KW = wd.shape
+    if C != Cw:
+        raise ShapeError(f"{op}: input channels {C} != weight channels {Cw}")
+    win, scatter = _windows(xd, (KH, KW), stride, padding, err)
+    Ho, Wo = win.shape[2], win.shape[3]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        B * Ho * Wo, C * KH * KW)
+    wmat = wd.reshape(O, C * KH * KW)
+    out = np.ascontiguousarray((cols @ wmat.T).reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2))
+
+    def backward(g):
+        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * Ho * Wo, O)
+        dw = (g2.T @ cols).reshape(O, C, KH, KW)
+        dcols = (g2 @ wmat).reshape(B, Ho, Wo, C, KH, KW).transpose(0, 3, 1, 2, 4, 5)
+        return scatter(dcols), dw
+
+    return _conv_node(out, x, w, b, backward)
+
+
+def _avgpool(x: Tensor, kernel: tuple, stride: tuple, err: str) -> Tensor:
+    """Mean over each window of [B, C, H, W] x (or of its 1-d, height-1 form)."""
+    xd = x.data if x.ndim == 4 else x.data[:, :, None]
+    win, scatter = _windows(xd, kernel, stride, (0, 0), err)
+    data = np.ascontiguousarray(win.mean(axis=(4, 5)))
+
+    def backward(g):
+        share = g / (kernel[0] * kernel[1])
+        return (scatter(np.broadcast_to(share[..., None, None], win.shape)),)
+
+    return _node(data, (x,), backward)
+
+
 # ---------------------------------------------------------------------------
-# 1-d convolution and pooling (height-1 cases of the 2-d kernels below)
+# 1-d convolution and pooling (height-1 cases of the 2-d kernels)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -133,55 +209,36 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None,
     """Cross-correlation of [B, C, L] with filters [O, C, K] -> [B, O, Lout]."""
     if x.ndim != 3 or w.ndim != 3:
         raise ShapeError(f"conv1d: expected x[B,C,L], w[O,C,K]; got {x.shape}, {w.shape}")
-    B, C, L = x.shape
-    O, Cw, K = w.shape
-    if C != Cw:
-        raise ShapeError(f"conv1d: input channels {C} != weight channels {Cw}")
-    Lp = L + 2 * padding
-    if K > Lp:
-        raise ShapeError(
-            f"conv1d: kernel {K} larger than padded input {Lp} (L={L}, pad={padding})")
-    out = conv2d(x.reshape(B, C, 1, L), w.reshape(O, C, 1, K), b,
-                 stride=(1, stride), padding=(0, padding))
-    return out.reshape(B, O, out.shape[3])
+    return _conv(x, w, b, (1, stride), (0, padding), "conv1d",
+                 "conv1d: kernel {kw} larger than padded input {wp} "
+                 f"(L={x.shape[2]}, pad={padding})")
 
 
 def maxpool1d(x: Tensor, kernel: int, stride: int | None = None,
               padding: int = 0) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"maxpool1d expects [B,C,L], got {x.shape}")
-    stride = stride or kernel
-    B, C, L = x.shape
-    Lp = L + 2 * padding
-    if kernel > Lp:
-        raise ShapeError(f"maxpool1d: kernel {kernel} larger than padded input {Lp}")
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding)), constant_values=-np.inf)
-    win = sliding_window_view(xp, kernel, axis=2)[:, :, ::stride, :]  # [B, C, Lout, k]
-    idx = win.argmax(axis=3)
-    data = np.take_along_axis(win, idx[..., None], axis=3)[..., 0]
-    data = np.ascontiguousarray(data)
+    win, scatter = _windows(
+        x.data[:, :, None], (1, kernel), (1, stride or kernel), (0, padding),
+        "maxpool1d: kernel {kw} larger than padded input {wp}", fill=-np.inf)
+    win = win[..., 0, :]                                  # [B, C, 1, Lout, k]
+    idx = win.argmax(axis=-1)
+    data = np.ascontiguousarray(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0])
 
     def backward(g):
         # built offset-major, so each offset's slab is contiguous; a
         # kernel-last array would run every op over a length-kernel axis
-        sel = idx == np.arange(kernel).reshape(-1, 1, 1, 1)
-        dwin = np.moveaxis(g * sel, 0, -1)
-        dx = _col2im(dwin, (stride,), (Lp,))[..., padding:padding + L]
-        return (np.ascontiguousarray(dx),)
+        sel = idx == np.arange(kernel).reshape(-1, 1, 1, 1, 1)
+        return (scatter(np.moveaxis(g * sel, 0, -1)[..., None, :]),)
 
-    return Tensor._from_op(data, (x,), backward)
+    return _node(data, (x,), backward)
 
 
 def avgpool1d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"avgpool1d expects [B,C,L], got {x.shape}")
-    B, C, L = x.shape
-    if kernel > L:
-        raise ShapeError(f"avgpool1d: kernel {kernel} larger than input {L}")
-    out = avgpool2d(x.reshape(B, C, 1, L), (1, kernel), (1, stride or kernel))
-    return out.reshape(B, C, out.shape[3])
+    return _avgpool(x, (1, kernel), (1, stride or kernel),
+                    "avgpool1d: kernel {kw} larger than input {wp}")
 
 
 def global_avg_pool1d(x: Tensor) -> Tensor:
@@ -195,54 +252,13 @@ def global_avg_pool1d(x: Tensor) -> Tensor:
 # 2-d convolution and pooling (12-lead grid front-ends)
 
 
-def _pad2d(x: np.ndarray, ph, pw) -> tuple[np.ndarray, tuple]:
-    """Zero-pad H by ph and W by pw (each an int or a (before, after) pair).
-
-    Also returns the index that crops a padded-grid gradient back to x.
-    """
-    ph0, ph1 = (ph, ph) if isinstance(ph, int) else ph
-    pw0, pw1 = (pw, pw) if isinstance(pw, int) else pw
-    crop = (..., slice(ph0, ph0 + x.shape[2]), slice(pw0, pw0 + x.shape[3]))
-    if not (ph0 or ph1 or pw0 or pw1):
-        return x, crop
-    return np.pad(x, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1))), crop
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride=(1, 1), padding=(0, 0)) -> Tensor:
     """Cross-correlation of [B, C, H, W] with filters [O, C, KH, KW]."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected x[B,C,H,W], w[O,C,KH,KW]; got {x.shape}, {w.shape}")
-    B, C, H, W = x.shape
-    O, Cw, KH, KW = w.shape
-    if C != Cw:
-        raise ShapeError(f"conv2d: input channels {C} != weight channels {Cw}")
-    sh, sw = stride
-    ph, pw = padding
-    xp, crop = _pad2d(x.data, ph, pw)
-    Hp, Wp = xp.shape[2], xp.shape[3]
-    if KH > Hp or KW > Wp:
-        raise ShapeError(f"conv2d: kernel ({KH},{KW}) larger than padded input ({Hp},{Wp})")
-    win = sliding_window_view(xp, (KH, KW), axis=(2, 3))[:, :, ::sh, ::sw]
-    Ho, Wo = win.shape[2], win.shape[3]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        B * Ho * Wo, C * KH * KW)
-    wmat = w.data.reshape(O, C * KH * KW)
-    out = (cols @ wmat.T).reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2)
-    out = np.ascontiguousarray(out)
-    if b is not None:
-        out = out + b.data.reshape(1, O, 1, 1)
-
-    def backward(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * Ho * Wo, O)
-        dw = (g2.T @ cols).reshape(O, C, KH, KW)
-        db = g.sum(axis=(0, 2, 3)) if b is not None else None
-        dcols = (g2 @ wmat).reshape(B, Ho, Wo, C, KH, KW).transpose(0, 3, 1, 2, 4, 5)
-        dx = _col2im(dcols, stride, (Hp, Wp))[crop]
-        return (np.ascontiguousarray(dx), dw) + ((db,) if b is not None else ())
-
-    parents = (x, w) + ((b,) if b is not None else ())
-    return Tensor._from_op(out, parents, backward)
+    return _conv(x, w, b, stride, padding, "conv2d",
+                 "conv2d: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
@@ -259,50 +275,28 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     Cw, M, KH, KW = w.shape
     if C != Cw:
         raise ShapeError(f"depthwise_conv2d: input channels {C} != weight channels {Cw}")
-    sh, sw = stride
-    ph, pw = padding
-    xp, crop = _pad2d(x.data, ph, pw)
-    Hp, Wp = xp.shape[2], xp.shape[3]
-    if KH > Hp or KW > Wp:
-        raise ShapeError(
-            f"depthwise_conv2d: kernel ({KH},{KW}) larger than padded input ({Hp},{Wp})")
-    win = sliding_window_view(xp, (KH, KW), axis=(2, 3))[:, :, ::sh, ::sw]
+    win, scatter = _windows(
+        x.data, (KH, KW), stride, padding,
+        "depthwise_conv2d: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
     Ho, Wo = win.shape[2], win.shape[3]
     out = np.einsum("bchwuv,cmuv->bcmhw", win, w.data, optimize=True)
     out = np.ascontiguousarray(out.reshape(B, C * M, Ho, Wo))
-    if b is not None:
-        out = out + b.data.reshape(1, C * M, 1, 1)
 
     def backward(g):
         g5 = g.reshape(B, C, M, Ho, Wo)
         dw = np.einsum("bchwuv,bcmhw->cmuv", win, g5, optimize=True)
-        db = g.sum(axis=(0, 2, 3)) if b is not None else None
         dwin = np.einsum("bcmhw,cmuv->bchwuv", g5, w.data, optimize=True)
-        dx = _col2im(dwin, stride, (Hp, Wp))[crop]
-        return (np.ascontiguousarray(dx), dw) + ((db,) if b is not None else ())
+        return scatter(dwin), dw
 
-    parents = (x, w) + ((b,) if b is not None else ())
-    return Tensor._from_op(out, parents, backward)
+    return _conv_node(out, x, w, b, backward)
 
 
 def avgpool2d(x: Tensor, kernel: tuple[int, int],
               stride: tuple[int, int] | None = None) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"avgpool2d expects [B,C,H,W], got {x.shape}")
-    kh, kw = kernel
-    sh, sw = stride or kernel
-    B, C, H, W = x.shape
-    if kh > H or kw > W:
-        raise ShapeError(f"avgpool2d: kernel ({kh},{kw}) larger than input ({H},{W})")
-    win = sliding_window_view(x.data, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    data = np.ascontiguousarray(win.mean(axis=(4, 5)))
-
-    def backward(g):
-        share = g / (kh * kw)
-        dwin = np.broadcast_to(share[..., None, None], share.shape + (kh, kw))
-        return (_col2im(dwin, (sh, sw), (H, W)),)
-
-    return Tensor._from_op(data, (x,), backward)
+    return _avgpool(x, kernel, stride or kernel,
+                    "avgpool2d: kernel ({kh},{kw}) larger than input ({hp},{wp})")
 
 
 # ---------------------------------------------------------------------------

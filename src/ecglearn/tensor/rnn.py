@@ -71,7 +71,8 @@ def unroll(x: Tensor, layer_weights: list[dict], kind: str,
     """Run stacked recurrent layers over a [B, T, F] sequence.
 
     ``layer_weights`` holds one dict per layer with keys w_ih, w_hh, b_ih,
-    b_hh. Initial states default to zeros. Returns the top layer's per-step
+    b_hh. ``initial`` holds one state per layer, [B, H] or for LSTM an (h, c)
+    pair of them; it defaults to zeros. Returns the top layer's per-step
     outputs [B, T, H] and the final state of every layer (h, or (h, c) for
     LSTM).
     """
@@ -94,8 +95,16 @@ def unroll(x: Tensor, layer_weights: list[dict], kind: str,
             return (z, Tensor(np.zeros((B, H), dtype=x.dtype)))
         return z
 
-    states = list(initial) if initial is not None else [
-        zeros_state(H) for H in hidden_sizes]
+    if initial is None:
+        states = [zeros_state(H) for H in hidden_sizes]
+    else:
+        states = list(initial)
+        want = [((B, H), (B, H)) if kind == "lstm" else (B, H) for H in hidden_sizes]
+        got = [tuple(t.shape for t in s) if isinstance(s, (tuple, list)) else s.shape
+               for s in states]
+        if got != want:
+            raise ShapeError(f"unroll: initial must hold one state per layer, "
+                             f"shaped {want}; got {got}")
 
     seq = [x[:, t, :] for t in range(T)]
     for li, lw in enumerate(layer_weights):

@@ -162,23 +162,29 @@ def load_checkpoint(path: str | Path, validate_shapes: bool = True) -> Checkpoin
         raise CheckpointError(
             f"{path.name}: format version {header['version']} is not "
             f"supported (this build reads version {_VERSION})")
-    spec = ModelSpec.from_dict(header["spec"])
+    try:
+        spec = ModelSpec.from_dict(header["spec"])
+        expected = sum(t["nbytes"] for t in header["tensors"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path.name}: corrupt header ({e!r})") from None
     if spec.fingerprint() != header["fingerprint"]:
         raise CheckpointError(
             f"{path.name}: fingerprint mismatch; the embedded model "
             "description does not match the recorded fingerprint")
 
     body = data[16 + header_len:]
-    expected = sum(t["nbytes"] for t in header["tensors"])
     if len(body) != expected:
         raise CheckpointError(
             f"{path.name}: data section holds {len(body)} bytes, header "
             f"declares {expected} (file truncated or padded)")
     tensors = {}
-    for entry in header["tensors"]:
-        raw = body[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"])
-        tensors[entry["name"]] = arr.astype(arr.dtype.newbyteorder("="))
+    try:
+        for entry in header["tensors"]:
+            raw = body[entry["offset"]:entry["offset"] + entry["nbytes"]]
+            arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"])
+            tensors[entry["name"]] = arr.astype(arr.dtype.newbyteorder("="))
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path.name}: corrupt header ({e!r})") from None
     ckpt = Checkpoint(version=header["version"], fingerprint=header["fingerprint"],
                       spec=spec, seed=header.get("seed", 0),
                       provenance=header.get("provenance", {}), tensors=tensors)

@@ -1,8 +1,10 @@
 """Brute-force reference implementations used to verify the metric suite,
 the bandpass filter and the backward passes of the strided window ops, plus
-the per-input finite-difference loop that ``gradcheck`` ran before it became
-the one-tensor case of ``param_gradcheck``, and the batch and layer norm
-nodes from before they shared one forward and backward.
+the forward passes of those ops from before they shared one windowing
+prologue and one graph node per call, the per-input finite-difference loop
+that ``gradcheck`` ran before it became the one-tensor case of
+``param_gradcheck``, and the batch and layer norm nodes from before they
+shared one forward and backward.
 
 Deliberately written with explicit python loops and none of the library's
 vectorized machinery, so agreement is meaningful. Conventions match the
@@ -157,9 +159,10 @@ def oracle_bandpass(signal, fs, sections):
 # ---------------------------------------------------------------------------
 # Backward passes of the strided window ops, each with its own hand-written
 # scatter-add loop over kernel offsets. Each takes the forward inputs and the
-# upstream gradient g and returns the op's gradients. The 1-d convolution and
-# average pool also keep their own forward passes, from before they ran on
-# the 2-d kernels.
+# upstream gradient g and returns the op's gradients. Each op also keeps its
+# own forward pass: the 1-d convolution and average pool from before they ran
+# on the 2-d kernels, the others from before every window op shared one
+# windowing prologue.
 
 
 def _pads(p):
@@ -183,6 +186,14 @@ def oracle_avgpool1d(x, kernel, stride):
     """Forward of avgpool1d: the mean over each 1-d window."""
     win = sliding_window_view(x, kernel, axis=2)[:, :, ::stride, :]
     return np.ascontiguousarray(win.mean(axis=3))
+
+
+def oracle_maxpool1d(x, kernel, stride, padding):
+    """Forward of maxpool1d: the first maximum of each -inf-padded window."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)), constant_values=-np.inf)
+    win = sliding_window_view(xp, kernel, axis=2)[:, :, ::stride, :]
+    idx = win.argmax(axis=3)
+    return np.ascontiguousarray(np.take_along_axis(win, idx[..., None], axis=3)[..., 0])
 
 
 def oracle_conv1d_grads(x, w, b, g, stride, padding):
@@ -252,6 +263,35 @@ def _windows2d(x, kshape, stride, padding):
     xp = np.pad(x, ((0, 0), (0, 0), _pads(padding[0]), _pads(padding[1])))
     win = sliding_window_view(xp, kshape, axis=(2, 3))[:, :, ::stride[0], ::stride[1]]
     return xp, win
+
+
+def oracle_conv2d(x, w, b, stride, padding):
+    """Forward of conv2d: its own 2-d im2col and GEMM."""
+    B, C = x.shape[:2]
+    O, _, KH, KW = w.shape
+    _, win = _windows2d(x, (KH, KW), stride, padding)
+    Ho, Wo = win.shape[2], win.shape[3]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        B * Ho * Wo, C * KH * KW)
+    out = (cols @ w.reshape(O, C * KH * KW).T).reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2)
+    out = np.ascontiguousarray(out)
+    return out + b.reshape(1, O, 1, 1) if b is not None else out
+
+
+def oracle_depthwise_conv2d(x, w, b, stride, padding):
+    """Forward of depthwise_conv2d: one einsum over the windows."""
+    B, C = x.shape[:2]
+    _, M, KH, KW = w.shape
+    _, win = _windows2d(x, (KH, KW), stride, padding)
+    out = np.einsum("bchwuv,cmuv->bcmhw", win, w, optimize=True)
+    out = np.ascontiguousarray(out.reshape(B, C * M, win.shape[2], win.shape[3]))
+    return out + b.reshape(1, C * M, 1, 1) if b is not None else out
+
+
+def oracle_avgpool2d(x, kernel, stride):
+    """Forward of avgpool2d: the mean over each 2-d window."""
+    win = sliding_window_view(x, kernel, axis=(2, 3))[:, :, ::stride[0], ::stride[1]]
+    return np.ascontiguousarray(win.mean(axis=(4, 5)))
 
 
 def oracle_conv2d_grads(x, w, b, g, stride, padding):

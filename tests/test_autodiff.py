@@ -9,10 +9,11 @@ from ecglearn.learn import focal_loss
 from ecglearn.models import ModelSpec, build
 from ecglearn.tensor import (Tensor, functional as F, gradcheck, no_grad)
 from oracles import (oracle_avgpool1d, oracle_avgpool1d_grad,
-                     oracle_avgpool2d_grad, oracle_batchnorm, oracle_conv1d,
-                     oracle_conv1d_grads, oracle_conv2d_grads,
+                     oracle_avgpool2d, oracle_avgpool2d_grad, oracle_batchnorm,
+                     oracle_conv1d, oracle_conv1d_grads, oracle_conv2d,
+                     oracle_conv2d_grads, oracle_depthwise_conv2d,
                      oracle_depthwise_conv2d_grads, oracle_gradcheck,
-                     oracle_layernorm, oracle_maxpool1d_grad)
+                     oracle_layernorm, oracle_maxpool1d, oracle_maxpool1d_grad)
 from test_acceptance import ARCH_GRADCHECK_HP, _primitive_cases
 
 
@@ -320,8 +321,8 @@ class TestNormalizationMatchesOracle:
 
 class TestWindowBackwardMatchesOracle:
     """Bit-identity of the window ops' backward passes with their frozen
-    per-op scatter loops, and of the 1-d convolution and average pool's
-    outputs with their frozen forward passes."""
+    per-op scatter loops, and of their outputs with their frozen forward
+    passes; and one graph node per window op call."""
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("K, stride, padding",
@@ -343,6 +344,8 @@ class TestWindowBackwardMatchesOracle:
     def test_maxpool1d_ties_and_padding(self, dtype, kernel, stride, padding):
         rng = np.random.default_rng(kernel)
         x = rng.integers(-2, 3, size=(2, 3, 19)).astype(dtype)   # many ties
+        out = F.maxpool1d(Tensor(x), kernel=kernel, stride=stride, padding=padding)
+        assert_bitwise([out.data], [oracle_maxpool1d(x, kernel, stride, padding)])
         got, g = window_op_grads(F.maxpool1d, (x,), rng, kernel=kernel,
                                   stride=stride, padding=padding)
         assert_bitwise(got, [oracle_maxpool1d_grad(x, g, kernel, stride, padding)])
@@ -364,6 +367,9 @@ class TestWindowBackwardMatchesOracle:
         rng = np.random.default_rng(sum(kshape))
         x, w, b = (rng.normal(size=s).astype(dtype)
                    for s in ((2, 3, 6, 9), (4, 3) + kshape, (4,)))
+        out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                       padding=padding)
+        assert_bitwise([out.data], [oracle_conv2d(x, w, b, stride, padding)])
         got, g = window_op_grads(F.conv2d, (x, w, b), rng,
                                   stride=stride, padding=padding)
         assert_bitwise(got, oracle_conv2d_grads(x, w, b, g, stride, padding))
@@ -374,6 +380,10 @@ class TestWindowBackwardMatchesOracle:
         rng = np.random.default_rng(sum(kshape))
         x, w, b = (rng.normal(size=s).astype(dtype)
                    for s in ((2, 3, 6, 9), (3, 2) + kshape, (6,)))
+        out = F.depthwise_conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                                 padding=padding)
+        assert_bitwise([out.data],
+                       [oracle_depthwise_conv2d(x, w, b, stride, padding)])
         got, g = window_op_grads(F.depthwise_conv2d, (x, w, b), rng,
                                   stride=stride, padding=padding)
         assert_bitwise(got, oracle_depthwise_conv2d_grads(x, w, b, g, stride,
@@ -385,9 +395,23 @@ class TestWindowBackwardMatchesOracle:
     def test_avgpool2d(self, dtype, kernel, stride):
         rng = np.random.default_rng(sum(kernel))
         x = rng.normal(size=(2, 3, 6, 9)).astype(dtype)
+        out = F.avgpool2d(Tensor(x), kernel=kernel, stride=stride)
+        assert_bitwise([out.data], [oracle_avgpool2d(x, kernel, stride)])
         got, g = window_op_grads(F.avgpool2d, (x,), rng, kernel=kernel,
                                   stride=stride)
         assert_bitwise(got, [oracle_avgpool2d_grad(x, g, kernel, stride)])
+
+    def test_one_graph_node_per_call(self):
+        cases = [(F.conv1d, ((2, 3, 17), (4, 3, 5), (4,)), {"stride": 2, "padding": 1}),
+                 (F.maxpool1d, ((2, 3, 17),), {"kernel": 3, "padding": 1}),
+                 (F.avgpool1d, ((2, 3, 17),), {"kernel": 2}),
+                 (F.conv2d, ((2, 3, 6, 9), (4, 3, 3, 2), (4,)), {"padding": (1, 0)}),
+                 (F.depthwise_conv2d, ((2, 3, 6, 9), (3, 2, 1, 4), (6,)), {}),
+                 (F.avgpool2d, ((2, 3, 6, 9),), {"kernel": (2, 3)})]
+        for op, shapes, kw in cases:
+            leaves = [Tensor(np.ones(s), requires_grad=True) for s in shapes]
+            out = op(*leaves, **kw)
+            assert len(out._toposort()) == 1 + len(leaves), op.__name__
 
 
 def _primitive_inputs(seed):

@@ -26,6 +26,8 @@ MALFORMED_HEADERS = {
     "empty": "",
     "signal-count": ("r 12 500 10", "r twelve 500 10"),
     "fs": ("r 12 500 10", "r 12 fast 10"),
+    "fs-nan": ("r 12 500 10", "r 12 nan 10"),
+    "fs-inf": ("r 12 500 10", "r 12 inf 10"),
     "samples": ("r 12 500 10", "r 12 500 ten"),
     "gain": ("200(0)/mV", "high(0)/mV"),
     "baseline": ("200(0)/mV", "200(zero)/mV"),

@@ -135,6 +135,37 @@ class TestUnroll:
         with pytest.raises(ShapeError, match="stacked layer 1"):
             unroll(T64(rng.normal(size=(2, 4, 3))), layers, kind="gru")
 
+    @pytest.mark.parametrize("kind, gates", [("gru", 3), ("lstm", 4)])
+    def test_split_sequence_continues_from_initial(self, kind, gates):
+        rng = np.random.default_rng(10)
+        layers = [make_weights(rng, 3, 4, gates), make_weights(rng, 4, 4, gates)]
+        x = T64(rng.normal(size=(2, 6, 3)))
+        out, states = unroll(x, layers, kind=kind)
+        first, mid = unroll(x[:, :3, :], layers, kind=kind)
+        second, end = unroll(x[:, 3:, :], layers, kind=kind, initial=mid)
+        assert np.concatenate([first.data, second.data], axis=1).tobytes() \
+            == out.data.tobytes()
+
+        def flat(layer_states):
+            return [t.data.tobytes() for s in layer_states
+                    for t in (s if kind == "lstm" else (s,))]
+
+        assert flat(end) == flat(states)
+
+    @pytest.mark.parametrize("case", ["too-few-states", "wrong-width"])
+    @pytest.mark.parametrize("kind, gates", [("gru", 3), ("lstm", 4)])
+    def test_malformed_initial_names_initial(self, kind, gates, case):
+        rng = np.random.default_rng(11)
+        layers = [make_weights(rng, 3, 4, gates), make_weights(rng, 4, 4, gates)]
+        x = T64(rng.normal(size=(2, 5, 3)))
+        _, states = unroll(x, layers, kind=kind)
+        narrow = T64(np.zeros((2, 3)))
+        initial = {"too-few-states": states[:1],
+                   "wrong-width": [states[0],
+                                   (narrow, narrow) if kind == "lstm" else narrow]}[case]
+        with pytest.raises(ShapeError, match="initial"):
+            unroll(x, layers, kind=kind, initial=initial)
+
     def test_gradcheck_through_short_unroll(self):
         rng = np.random.default_rng(9)
         layers = [make_weights(rng, 3, 3, 3), make_weights(rng, 3, 3, 3)]

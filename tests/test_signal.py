@@ -30,6 +30,13 @@ def fitted_amplitude(x, fs, freq):
     return float(np.hypot(coef[0], coef[1]))
 
 
+class TestEcgRecord:
+    @pytest.mark.parametrize("fs", [float("nan"), float("inf"), 0.0])
+    def test_needs_finite_positive_fs(self, fs):
+        with pytest.raises(SignalError, match="fs must be finite and positive"):
+            make_record(np.zeros((12, 10)), fs=fs)
+
+
 class TestButterworthBandpass:
     SPEC = FilterSpec(fs=500.0, order=2, low_cut=1.0, high_cut=45.0)
 
@@ -77,6 +84,11 @@ class TestButterworthBandpass:
     def test_nyquist_violation(self):
         with pytest.raises(SignalError, match="Nyquist"):
             FilterSpec(fs=80.0, order=2, low_cut=1.0, high_cut=45.0)
+
+    @pytest.mark.parametrize("fs", [float("nan"), float("inf")])
+    def test_non_finite_fs_rejected(self, fs):
+        with pytest.raises(SignalError, match="fs must be finite"):
+            FilterSpec(fs=fs)
 
     def test_fs_mismatch(self):
         rec = make_record(np.zeros((12, 100)), fs=250.0)

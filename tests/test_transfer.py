@@ -64,12 +64,23 @@ def without(key):
     return lambda header: {k: v for k, v in header.items() if k != key}
 
 
+def each_tensor(edit):
+    return lambda header: {**header,
+                           "tensors": [edit(dict(t)) for t in header["tensors"]]}
+
+
 # headers that are valid JSON but not a checkpoint header
 MALFORMED_CKPT_HEADERS = {
     "list": list,
     "string": lambda header: "header",
     **{f"no-{key}": without(key)
        for key in ("version", "spec", "fingerprint", "tensors")},
+    "spec-list": lambda header: {**header, "spec": []},
+    "spec-no-task": lambda header: {**header, "spec": without("task")(header["spec"])},
+    "tensors-int": lambda header: {**header, "tensors": 5},
+    "tensor-no-nbytes": each_tensor(without("nbytes")),
+    "tensor-bad-dtype": each_tensor(lambda t: {**t, "dtype": "<i9"}),
+    "tensor-shape-vs-nbytes": each_tensor(lambda t: {**t, "shape": t["shape"] + [3]}),
 }
 
 
