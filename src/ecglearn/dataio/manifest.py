@@ -108,6 +108,8 @@ def load_manifest(directory: str | Path) -> DatasetManifest:
         if not isinstance(meta, dict):
             raise TypeError("not a JSON object")
         name, fs, task = meta["name"], float(meta["fs"]), TaskSpec.from_dict(meta["task"])
+        if not (np.isfinite(fs) and fs > 0):
+            raise ValueError(f"fs must be finite and positive, got {fs}")
     except KeyError as e:
         raise DataError(f"{meta_path}: missing key {e}") from None
     except (TypeError, ValueError, DataError) as e:

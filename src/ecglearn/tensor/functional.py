@@ -2,13 +2,22 @@
 
 Convolutions are computed directly (im2col + BLAS matmul, no FFT), which is
 exact and fast enough at the signal lengths this package targets. Every
-convolution and pool is one graph node: one prologue, ``_windows``, pads and
-windows its input, and one col2im scatter sums the window gradients back.
+convolution and pool is one graph node: one prologue, ``_windows``, checks
+its kernel, stride and padding, pads and windows its input, and one col2im
+scatter sums the window gradients back. That scatter works channels last:
+a convolution's backward multiplies by the weight matrix with its columns
+permuted to (KH, KW, C), so each kernel offset's gradient slab is contiguous,
+and the scatter's crop transposes the sum back to [B, C, H, W] in one copy.
 1-d ops run the 2-d kernels on height-1 views inside that one node. Batch
-and layer normalization are one node, ``_normalize``, over different axes.
-Every op validates its shape algebra up front and raises ShapeError naming
-the op and the offending dimensions; a conforming call always produces the
-documented output shape.
+and layer normalization are one node, ``_normalize``, over different axes;
+``_moments`` reproduces numpy's mean and variance arithmetic and hands x - mu
+on, so it is computed once. relu is ``fmax(x, 0)`` plus an in-place +0,
+which maps NaN, -inf and -0.0 to +0.0 exactly as ``np.where(x > 0, x, 0)``
+does, without keeping a mask. These forms keep every floating-point
+operation and summation order of the plain formulas, so outputs and
+gradients are bit-identical to them. Every op validates its shape algebra up
+front and raises ShapeError naming the op and the offending dimensions; a
+conforming call always produces the documented output shape.
 """
 
 from __future__ import annotations
@@ -31,9 +40,9 @@ __all__ = [
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    data = np.where(mask, x.data, 0.0).astype(x.dtype, copy=False)
-    return Tensor._from_op(data, (x,), lambda g: (g * mask,))
+    data = np.fmax(x.data, 0)        # NaN and -inf give 0
+    data += 0                        # -0.0 becomes +0.0
+    return Tensor._from_op(data, (x,), lambda g: (g * (data > 0),))
 
 
 def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
@@ -107,39 +116,51 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
 
 def _col2im(dwin: np.ndarray, strides: tuple, padded: tuple) -> np.ndarray:
-    """Sum window gradients back onto the padded input grid.
+    """Sum window gradients back onto the padded input grid, channels last.
 
-    ``dwin`` is [B, C, *out, *kernel], the gradient of every strided window
-    a forward pass read from a [B, C, *padded] input. Kernel offsets are added
+    ``dwin`` is [B, *out, *kernel, C], the gradient of every strided window
+    a forward pass read from a [B, *padded, C] grid. Kernel offsets are added
     one at a time, in ``np.ndindex`` order, so each input element sums its
-    contributions in a fixed order and the result is deterministic.
+    contributions in a fixed order and the result is deterministic. The grid
+    is laid out channels first in memory when ``dwin``'s slabs are.
     """
     nd = len(strides)
-    out, kernel = dwin.shape[2:2 + nd], dwin.shape[2 + nd:]
-    dxp = np.zeros(dwin.shape[:2] + tuple(padded), dtype=dwin.dtype)
+    B, C = dwin.shape[0], dwin.shape[-1]
+    out, kernel = dwin.shape[1:1 + nd], dwin.shape[1 + nd:-1]
+    if dwin.strides[-1] <= dwin.strides[nd]:
+        dxp = np.zeros((B, *padded, C), dtype=dwin.dtype)
+    else:
+        dxp = np.moveaxis(np.zeros((B, C, *padded), dtype=dwin.dtype), 1, -1)
     for offset in np.ndindex(*kernel):
         span = tuple(slice(k, k + (n - 1) * s + 1, s)
                      for k, n, s in zip(offset, out, strides))
-        dxp[(..., *span)] += dwin[(..., *offset)]
+        dxp[(slice(None), *span)] += dwin[(slice(None),) * (1 + nd) + offset]
     return dxp
 
 
 def _windows(x: np.ndarray, kernel: tuple, stride: tuple, padding: tuple,
-             err: str, fill: float = 0.0):
+             op: str, err: str, fill: float = 0.0):
     """Pad [B, C, H, W] ``x`` with ``fill`` (each ``padding`` entry an int or a
-    (before, after) pair), raise ShapeError(``err`` formatted with kh, kw, hp
+    (before, after) pair), raise ShapeError if a kernel or stride entry is
+    below 1, a padding entry below 0, or (``err`` formatted with kh, kw, hp
     and wp) if ``kernel`` does not fit, and return the strided windows
-    [B, C, Ho, Wo, KH, KW] and ``scatter``, which sums window gradients back
-    onto x's grid."""
+    [B, C, Ho, Wo, KH, KW] and ``scatter``, which sums channels-last window
+    gradients [B, Ho, Wo, KH, KW, C] back onto x's [B, C, H, W] grid."""
     (ph0, ph1), (pw0, pw1) = ((p, p) if isinstance(p, int) else p for p in padding)
-    crop = (..., slice(ph0, ph0 + x.shape[2]), slice(pw0, pw0 + x.shape[3]))
+    for name, values, low in (("kernel size", kernel, 1), ("stride", stride, 1),
+                              ("padding", (ph0, ph1, pw0, pw1), 0)):
+        for v in values:
+            if v < low:
+                raise ShapeError(f"{op}: {name} must be >= {low}, got {v}")
+    crop = (slice(None), slice(ph0, ph0 + x.shape[2]), slice(pw0, pw0 + x.shape[3]))
     if ph0 or ph1 or pw0 or pw1:
         x = np.pad(x, ((0, 0), (0, 0), (ph0, ph1), (pw0, pw1)), constant_values=fill)
     (kh, kw), (hp, wp) = kernel, x.shape[2:]
     if kh > hp or kw > wp:
         raise ShapeError(err.format(kh=kh, kw=kw, hp=hp, wp=wp))
     win = sliding_window_view(x, kernel, axis=(2, 3))[:, :, ::stride[0], ::stride[1]]
-    return win, lambda dwin: np.ascontiguousarray(_col2im(dwin, stride, (hp, wp))[crop])
+    return win, lambda dwin: np.ascontiguousarray(
+        _col2im(dwin, stride, (hp, wp))[crop].transpose(0, 3, 1, 2))
 
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
@@ -149,7 +170,8 @@ def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
     if parents[0].ndim == 4:
         return Tensor._from_op(data, parents, backward)
     return Tensor._from_op(data[:, :, 0], parents, lambda g: tuple(
-        d.reshape(p.shape) for p, d in zip(parents, backward(g[:, :, None]))))
+        None if d is None else d.reshape(p.shape)
+        for p, d in zip(parents, backward(g[:, :, None]))))
 
 
 def _conv_node(out: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None,
@@ -162,6 +184,11 @@ def _conv_node(out: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None,
                  lambda g: backward(g) + (g.sum(axis=(0, 2, 3)),))
 
 
+# im2col copies one strided slab per kernel offset while kernel rows are at
+# most this wide; past it, one transpose copy running along the rows is faster
+_SLAB_KW = 5
+
+
 def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride, padding, op: str,
           err: str) -> Tensor:
     """im2col cross-correlation of [B, C, H, W] with [O, C, KH, KW] (or of
@@ -171,31 +198,40 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride, padding, op: str,
     O, Cw, KH, KW = wd.shape
     if C != Cw:
         raise ShapeError(f"{op}: input channels {C} != weight channels {Cw}")
-    win, scatter = _windows(xd, (KH, KW), stride, padding, err)
+    win, scatter = _windows(xd, (KH, KW), stride, padding, op, err)
     Ho, Wo = win.shape[2], win.shape[3]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        B * Ho * Wo, C * KH * KW)
+    if KW <= _SLAB_KW:
+        cols = np.empty((B, Ho, Wo, C, KH, KW), dtype=xd.dtype)
+        for kh, kw in np.ndindex(KH, KW):
+            cols[..., kh, kw] = win[..., kh, kw].transpose(0, 2, 3, 1)
+    else:
+        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+    cols = cols.reshape(B * Ho * Wo, C * KH * KW)
     wmat = wd.reshape(O, C * KH * KW)
     out = np.ascontiguousarray((cols @ wmat.T).reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2))
 
     def backward(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * Ho * Wo, O)
         dw = (g2.T @ cols).reshape(O, C, KH, KW)
-        dcols = (g2 @ wmat).reshape(B, Ho, Wo, C, KH, KW).transpose(0, 3, 1, 2, 4, 5)
-        return scatter(dcols), dw
+        if not x.requires_grad:
+            return None, dw
+        # wmat's columns permuted to (KH, KW, C) give channels-last dcols
+        wcl = wd.transpose(0, 2, 3, 1).reshape(O, KH * KW * C)
+        return scatter((g2 @ wcl).reshape(B, Ho, Wo, KH, KW, C)), dw
 
     return _conv_node(out, x, w, b, backward)
 
 
-def _avgpool(x: Tensor, kernel: tuple, stride: tuple, err: str) -> Tensor:
+def _avgpool(x: Tensor, kernel: tuple, stride: tuple, op: str, err: str) -> Tensor:
     """Mean over each window of [B, C, H, W] x (or of its 1-d, height-1 form)."""
     xd = x.data if x.ndim == 4 else x.data[:, :, None]
-    win, scatter = _windows(xd, kernel, stride, (0, 0), err)
+    win, scatter = _windows(xd, kernel, stride, (0, 0), op, err)
     data = np.ascontiguousarray(win.mean(axis=(4, 5)))
 
     def backward(g):
         share = g / (kernel[0] * kernel[1])
-        return (scatter(np.broadcast_to(share[..., None, None], win.shape)),)
+        dwin = np.broadcast_to(share[..., None, None], win.shape)
+        return (scatter(dwin.transpose(0, 2, 3, 4, 5, 1)),)
 
     return _node(data, (x,), backward)
 
@@ -219,17 +255,25 @@ def maxpool1d(x: Tensor, kernel: int, stride: int | None = None,
     if x.ndim != 3:
         raise ShapeError(f"maxpool1d expects [B,C,L], got {x.shape}")
     win, scatter = _windows(
-        x.data[:, :, None], (1, kernel), (1, stride or kernel), (0, padding),
-        "maxpool1d: kernel {kw} larger than padded input {wp}", fill=-np.inf)
+        x.data[:, :, None], (1, kernel), (1, kernel if stride is None else stride),
+        (0, padding), "maxpool1d", "maxpool1d: kernel {kw} larger than padded input {wp}",
+        fill=-np.inf)
     win = win[..., 0, :]                                  # [B, C, 1, Lout, k]
-    idx = win.argmax(axis=-1)
-    data = np.ascontiguousarray(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0])
+    # argmax's choice, one offset slab at a time: the first maximum of each
+    # window, or its first NaN
+    data = win[..., 0]
+    idx = np.zeros(data.shape, dtype=np.min_scalar_type(kernel))
+    for k in range(1, kernel):
+        take = ~((win[..., k] <= data) | (data != data))
+        data = np.where(take, win[..., k], data)
+        idx += take * (k - idx)
+    data = np.ascontiguousarray(data)
 
     def backward(g):
         # built offset-major, so each offset's slab is contiguous; a
         # kernel-last array would run every op over a length-kernel axis
         sel = idx == np.arange(kernel).reshape(-1, 1, 1, 1, 1)
-        return (scatter(np.moveaxis(g * sel, 0, -1)[..., None, :]),)
+        return (scatter((g * sel).transpose(1, 3, 4, 0, 2)[:, :, :, None]),)
 
     return _node(data, (x,), backward)
 
@@ -237,8 +281,8 @@ def maxpool1d(x: Tensor, kernel: int, stride: int | None = None,
 def avgpool1d(x: Tensor, kernel: int, stride: int | None = None) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"avgpool1d expects [B,C,L], got {x.shape}")
-    return _avgpool(x, (1, kernel), (1, stride or kernel),
-                    "avgpool1d: kernel {kw} larger than input {wp}")
+    return _avgpool(x, (1, kernel), (1, kernel if stride is None else stride),
+                    "avgpool1d", "avgpool1d: kernel {kw} larger than input {wp}")
 
 
 def global_avg_pool1d(x: Tensor) -> Tensor:
@@ -276,7 +320,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if C != Cw:
         raise ShapeError(f"depthwise_conv2d: input channels {C} != weight channels {Cw}")
     win, scatter = _windows(
-        x.data, (KH, KW), stride, padding,
+        x.data, (KH, KW), stride, padding, "depthwise_conv2d",
         "depthwise_conv2d: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
     Ho, Wo = win.shape[2], win.shape[3]
     out = np.einsum("bchwuv,cmuv->bcmhw", win, w.data, optimize=True)
@@ -286,7 +330,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         g5 = g.reshape(B, C, M, Ho, Wo)
         dw = np.einsum("bchwuv,bcmhw->cmuv", win, g5, optimize=True)
         dwin = np.einsum("bcmhw,cmuv->bchwuv", g5, w.data, optimize=True)
-        return scatter(dwin), dw
+        return scatter(dwin.transpose(0, 2, 3, 4, 5, 1)), dw
 
     return _conv_node(out, x, w, b, backward)
 
@@ -295,7 +339,7 @@ def avgpool2d(x: Tensor, kernel: tuple[int, int],
               stride: tuple[int, int] | None = None) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"avgpool2d expects [B,C,H,W], got {x.shape}")
-    return _avgpool(x, kernel, stride or kernel,
+    return _avgpool(x, kernel, kernel if stride is None else stride, "avgpool2d",
                     "avgpool2d: kernel ({kh},{kw}) larger than input ({hp},{wp})")
 
 
@@ -303,28 +347,53 @@ def avgpool2d(x: Tensor, kernel: tuple[int, int],
 # normalization
 
 
-def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu, var, eps: float,
-               stat_axes: tuple, param_axes: tuple, batch_stats: bool) -> Tensor:
-    """gamma * (x - mu) / sqrt(var + eps) + beta; gamma and beta broadcast over
-    (and their gradients sum over) ``param_axes``. With ``batch_stats``, mu and
-    var are x's own statistics over ``stat_axes`` and dx takes their terms."""
+def _moments(x: np.ndarray, axes: tuple):
+    """Mean and biased variance of ``x`` over ``axes`` (kept), and x - mean.
+    The arithmetic is numpy's own ``mean``/``var`` (sum, divide by the count
+    as intp, subtract, square, sum, divide), so both match them bit for bit
+    while x - mean is computed once."""
+    n = np.intp(np.prod([x.shape[a] for a in axes]))
+    mu = x.sum(axis=axes, keepdims=True)
+    np.true_divide(mu, n, out=mu, casting="unsafe")
+    d = x - mu
+    var = np.square(d).sum(axis=axes, keepdims=True)
+    np.true_divide(var, n, out=var, casting="unsafe")
+    return mu, var, d
+
+
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, d: np.ndarray, var,
+               eps: float, stat_axes: tuple, param_axes: tuple,
+               batch_stats: bool) -> Tensor:
+    """gamma * d / sqrt(var + eps) + beta for ``d`` = x - mu, a fresh array
+    this node takes over; gamma and beta broadcast over (and their gradients
+    sum over) ``param_axes``. With ``batch_stats``, mu and var are x's own
+    statistics over ``stat_axes`` and dx takes their terms. Temporaries are
+    reused in place; every operation and its order is the plain formula's."""
     pshape = tuple(1 if a in param_axes else n for a, n in enumerate(x.shape))
     gam = gamma.data.reshape(pshape)
     bet = beta.data.reshape(pshape)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
-    data = (gam * xhat + bet).astype(x.dtype, copy=False)
+    xhat = np.multiply(d, inv_std, out=d)
+    data = xhat * gam
+    data += bet
+    data = data.astype(x.dtype, copy=False)
     n = int(np.prod([x.shape[a] for a in stat_axes]))
 
     def backward(g):
         dbeta = g.sum(axis=param_axes)
-        dgamma = (g * xhat).sum(axis=param_axes)
-        dxhat = g * gam
+        tmp = g * xhat
+        dgamma = tmp.sum(axis=param_axes)
+        dx = g * gam                                   # dxhat
         if batch_stats:
-            dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=stat_axes, keepdims=True)
-                                  - xhat * (dxhat * xhat).sum(axis=stat_axes, keepdims=True))
+            # (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+            s1 = dx.sum(axis=stat_axes, keepdims=True)
+            s2 = np.multiply(dx, xhat, out=tmp).sum(axis=stat_axes, keepdims=True)
+            dx *= n
+            dx -= s1
+            dx -= np.multiply(xhat, s2, out=tmp)
+            dx *= inv_std / n
         else:
-            dx = dxhat * inv_std
+            dx *= inv_std
         return np.ascontiguousarray(dx), dgamma, dbeta
 
     return Tensor._from_op(data, (x, gamma, beta), backward)
@@ -348,8 +417,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeError(f"batchnorm: gamma/beta must have shape ({C},)")
     axes = (0,) + tuple(range(2, x.ndim))
     if training:
-        mu = x.data.mean(axis=axes, keepdims=True)
-        var = x.data.var(axis=axes, keepdims=True)
+        mu, var, d = _moments(x.data, axes)
         if update_stats:
             running_mean += momentum * (mu.reshape(C) - running_mean)
             running_var += momentum * (var.reshape(C) - running_var)
@@ -357,8 +425,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         if not np.any(running_var):
             raise ShapeError("batchnorm eval mode requires populated running stats")
         pshape = (1, C) + (1,) * (x.ndim - 2)
-        mu, var = running_mean.reshape(pshape), running_var.reshape(pshape)
-    return _normalize(x, gamma, beta, mu, var, eps, axes, axes, training)
+        var = running_var.reshape(pshape)
+        d = x.data - running_mean.reshape(pshape)
+    return _normalize(x, gamma, beta, d, var, eps, axes, axes, training)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -366,7 +435,6 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     H = x.shape[-1]
     if gamma.shape != (H,) or beta.shape != (H,):
         raise ShapeError(f"layernorm: gamma/beta must have shape ({H},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    return _normalize(x, gamma, beta, mu, var, eps, (x.ndim - 1,),
+    _, var, d = _moments(x.data, (x.ndim - 1,))
+    return _normalize(x, gamma, beta, d, var, eps, (x.ndim - 1,),
                       tuple(range(x.ndim - 1)), True)

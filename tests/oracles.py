@@ -3,8 +3,9 @@ the bandpass filter and the backward passes of the strided window ops, plus
 the forward passes of those ops from before they shared one windowing
 prologue and one graph node per call, the per-input finite-difference loop
 that ``gradcheck`` ran before it became the one-tensor case of
-``param_gradcheck``, and the batch and layer norm nodes from before they
-shared one forward and backward.
+``param_gradcheck``, the batch and layer norm nodes from before they
+shared one forward and backward, and relu from before it became fmax plus
+an in-place +0.
 
 Deliberately written with explicit python loops and none of the library's
 vectorized machinery, so agreement is meaningful. Conventions match the
@@ -486,3 +487,15 @@ def oracle_layernorm(x, gamma, beta, eps=1e-5):
         return np.ascontiguousarray(dx), dgamma, dbeta
 
     return Tensor._from_op(data, (x, gamma, beta), backward)
+
+
+# ---------------------------------------------------------------------------
+# relu from before it became fmax plus an in-place +0: np.where over a stored
+# mask, whose backward multiplies by that mask. It takes and returns Tensors
+# with the signature of functional.relu.
+
+
+def oracle_relu(x):
+    mask = x.data > 0
+    data = np.where(mask, x.data, 0.0).astype(x.dtype, copy=False)
+    return Tensor._from_op(data, (x,), lambda g: (g * mask,))

@@ -351,6 +351,22 @@ class TestWindowBackwardMatchesOracle:
         assert_bitwise(got, [oracle_maxpool1d_grad(x, g, kernel, stride, padding)])
 
     @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("kernel, stride, padding", [(3, 2, 1), (3, 1, 1), (4, 3, 2)])
+    def test_maxpool1d_nan_and_signed_zeros(self, dtype, kernel, stride, padding):
+        # argmax picks a window's first NaN, else its first maximum, and
+        # -0.0 == 0.0 ties; the forward must pick the same element
+        rng = np.random.default_rng(kernel + stride)
+        values = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, 1.0, -1.0], dtype)
+        x = rng.choice(values, size=(2, 3, 19))
+        out = F.maxpool1d(Tensor(x), kernel=kernel, stride=stride, padding=padding)
+        assert_bitwise([out.data], [oracle_maxpool1d(x, kernel, stride, padding)])
+        with np.errstate(invalid="ignore"):                      # inf * 0
+            got, g = window_op_grads(F.maxpool1d, (x,), rng, kernel=kernel,
+                                      stride=stride, padding=padding)
+            want = oracle_maxpool1d_grad(x, g, kernel, stride, padding)
+        assert_bitwise(got, [want])
+
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("kernel, stride", [(2, 2), (3, 1), (4, 3)])
     def test_avgpool1d(self, dtype, kernel, stride):
         rng = np.random.default_rng(kernel)

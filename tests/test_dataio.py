@@ -51,6 +51,10 @@ MALFORMED_META = {
     "no-fs": lambda m: {k: v for k, v in m.items() if k != "fs"},
     "no-task": lambda m: {k: v for k, v in m.items() if k != "task"},
     "fs-not-number": lambda m: {**m, "fs": "fast"},
+    "fs-nan": lambda m: {**m, "fs": float("nan")},
+    "fs-inf": lambda m: {**m, "fs": float("inf")},
+    "fs-negative": lambda m: {**m, "fs": -500.0},
+    "fs-zero": lambda m: {**m, "fs": 0},
     "unknown-task-kind": lambda m: {**m, "task": {**m["task"], "kind": "ordinal"}},
 }
 

@@ -14,7 +14,9 @@ from ecglearn.models.architectures import _BUILDERS, _MIN_INPUT_LEN
 from ecglearn.learn import focal_loss
 from ecglearn.tensor import Tensor, functional as F, gradcheck
 from ecglearn.transfer import tensor_hashes
-from oracles import oracle_batchnorm, oracle_layernorm
+from oracles import (oracle_batchnorm, oracle_conv1d, oracle_conv1d_grads,
+                     oracle_layernorm, oracle_maxpool1d, oracle_maxpool1d_grad,
+                     oracle_relu)
 
 TASK5 = TaskSpec(TaskKind.MULTILABEL, tuple(f"c{i}" for i in range(5)))
 TASK9 = TaskSpec(TaskKind.MULTILABEL, tuple(f"c{i}" for i in range(9)))
@@ -268,6 +270,71 @@ class TestNormalizationStepMatchesOracle:
         monkeypatch.setattr(F, "layernorm", counted("layernorm", oracle_layernorm))
         want = self.step(arch)
         assert calls["layernorm" if arch == "TransformerEnc" else "batchnorm"] > 0
+        loss, grads, state, logits = got
+        assert loss.tobytes() == want[0].tobytes()
+        assert logits.tobytes() == want[3].tobytes()
+        for table, ref in ((grads, want[1]), (state, want[2])):
+            assert list(table) == list(ref)
+            for name in table:
+                assert table[name].tobytes() == ref[name].tobytes(), name
+
+
+def oracle_conv1d_op(x, w, b=None, stride=1, padding=0):
+    """F.conv1d as one node over the frozen conv1d forward and gradients."""
+    bd = None if b is None else b.data
+    out = oracle_conv1d(x.data, w.data, bd, stride, padding)
+
+    def backward(g):
+        dx, dw, db = oracle_conv1d_grads(x.data, w.data, bd, g, stride, padding)
+        return (dx, dw) if b is None else (dx, dw, db)
+
+    return Tensor._from_op(out, (x, w) if b is None else (x, w, b), backward)
+
+
+def oracle_maxpool1d_op(x, kernel, stride=None, padding=0):
+    """F.maxpool1d as one node over the frozen maxpool1d forward and gradient."""
+    stride = kernel if stride is None else stride
+    out = oracle_maxpool1d(x.data, kernel, stride, padding)
+    return Tensor._from_op(out, (x,), lambda g: (
+        oracle_maxpool1d_grad(x.data, g, kernel, stride, padding),))
+
+
+class TestFrontEndStepMatchesOracle:
+    """One ResNet18_1D training step and eval pass at the default width and
+    full record length, through the library's relu, conv1d, maxpool1d and
+    batchnorm and again through their frozen forms. At this size the layer4
+    GEMMs reduce over 1,536 terms, so BLAS runs its blocked path."""
+
+    @staticmethod
+    def step():
+        model = build(ModelSpec("ResNet18_1D", TASK5), seed=3)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(4, 12, 2048)).astype(np.float32)
+        y = (rng.random((4, 5)) < 0.5).astype(np.float32)
+        model.train_mode()
+        loss = focal_loss(model.forward(x), y)
+        model.zero_grad()
+        loss.backward()
+        grads = {n: p.grad for n, p in model.named_parameters().items()}
+        logits = model.eval_mode().forward(x).data
+        return loss.data, grads, model.state_dict(), logits
+
+    def test_loss_gradients_buffers_logits_bitwise(self, monkeypatch):
+        got = self.step()
+        oracles = {"relu": oracle_relu, "conv1d": oracle_conv1d_op,
+                   "maxpool1d": oracle_maxpool1d_op, "batchnorm": oracle_batchnorm}
+        calls = dict.fromkeys(oracles, 0)
+
+        def counted(name):
+            def op(*args, **kw):
+                calls[name] += 1
+                return oracles[name](*args, **kw)
+            return op
+
+        for name in oracles:
+            monkeypatch.setattr(F, name, counted(name))
+        want = self.step()
+        assert all(calls.values()), calls
         loss, grads, state, logits = got
         assert loss.tobytes() == want[0].tobytes()
         assert logits.tobytes() == want[3].tobytes()

@@ -7,6 +7,7 @@ from ecglearn.dataio import TaskKind
 from ecglearn.errors import ShapeError
 from ecglearn.learn.train import _scores_from_logits
 from ecglearn.tensor import Tensor, functional as F
+from oracles import oracle_relu
 
 
 def T(arr, **kw):
@@ -17,6 +18,31 @@ class TestElementwise:
     def test_relu_definition(self):
         out = F.relu(T([-1.0, 0.0, 2.0]))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_matches_oracle_bitwise(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([-0.0, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny,
+                            -tiny, 3 * tiny, -3 * tiny, np.finfo(dtype).max,
+                            -np.finfo(dtype).max, 1.0, -1.0], dtype=dtype)
+        rng = np.random.default_rng(11)
+        x = np.concatenate([special, rng.normal(size=64).astype(dtype), special])
+        g = np.concatenate([special[::-1], rng.normal(size=64).astype(dtype), special])
+        # short prefixes put each special value in a vectorized loop's tail,
+        # which takes its own path
+        for n in [*range(1, 17), len(x)]:
+            outs = []
+            with np.errstate(invalid="ignore", over="ignore"):   # inf * 0, inf sums
+                for op in (F.relu, oracle_relu):
+                    leaf = Tensor(x[:n].copy(), requires_grad=True)
+                    out = op(leaf)
+                    (out * Tensor(g[:n])).sum().backward()
+                    outs.append((out.data, leaf.grad))
+            (got, dgot), (want, dwant) = outs
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes(), n
+            assert dgot.tobytes() == dwant.tobytes(), n
+            assert not np.signbit(got).any(), n
 
     def test_elu_negative_branch(self):
         out = F.elu(T([-1.0, 0.0, 2.0]))
@@ -131,6 +157,47 @@ class TestConvShapes:
         # output channel 2*c+m depends only on input channel c
         direct = (x[0, 1] * w[1, 0][:, 0][:, None]).sum(axis=0)
         assert np.allclose(out.data[0, 2, 0], direct, atol=1e-12)
+
+
+class TestWindowArguments:
+    """Kernel sizes and strides below 1 and negative padding are ShapeErrors
+    naming the op, for every window op; only None selects a default stride."""
+
+    X1, X2 = np.zeros((1, 2, 8)), np.zeros((1, 2, 6, 8))
+    W1, W2, WD = np.zeros((3, 2, 3)), np.zeros((3, 2, 2, 3)), np.zeros((2, 1, 2, 3))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: F.conv1d(T(s.X1), T(s.W1), stride=0), "conv1d: stride must be >= 1, got 0"),
+        (lambda s: F.conv1d(T(s.X1), T(s.W1), padding=-1),
+         "conv1d: padding must be >= 0, got -1"),
+        (lambda s: F.conv1d(T(s.X1), T(np.zeros((3, 2, 0)))),
+         "conv1d: kernel size must be >= 1, got 0"),
+        (lambda s: F.conv2d(T(s.X2), T(s.W2), stride=(0, 1)),
+         "conv2d: stride must be >= 1, got 0"),
+        (lambda s: F.conv2d(T(s.X2), T(s.W2), padding=((0, -2), 1)),
+         "conv2d: padding must be >= 0, got -2"),
+        (lambda s: F.depthwise_conv2d(T(s.X2), T(s.WD), stride=(1, -1)),
+         "depthwise_conv2d: stride must be >= 1, got -1"),
+        (lambda s: F.maxpool1d(T(s.X1), 0), "maxpool1d: kernel size must be >= 1, got 0"),
+        (lambda s: F.maxpool1d(T(s.X1), 2, stride=0), "maxpool1d: stride must be >= 1, got 0"),
+        (lambda s: F.maxpool1d(T(s.X1), 2, padding=-1),
+         "maxpool1d: padding must be >= 0, got -1"),
+        (lambda s: F.avgpool1d(T(s.X1), 0), "avgpool1d: kernel size must be >= 1, got 0"),
+        (lambda s: F.avgpool1d(T(s.X1), 2, stride=0), "avgpool1d: stride must be >= 1, got 0"),
+        (lambda s: F.avgpool2d(T(s.X2), (2, 0)), "avgpool2d: kernel size must be >= 1, got 0"),
+        (lambda s: F.avgpool2d(T(s.X2), (2, 2), stride=(1, 0)),
+         "avgpool2d: stride must be >= 1, got 0"),
+    ])
+    def test_bad_argument_is_shape_error(self, call, message):
+        with pytest.raises(ShapeError) as err:
+            call(self)
+        assert str(err.value) == message
+
+    def test_none_selects_the_default_stride(self):
+        x = T(np.arange(8.0).reshape(1, 1, 8))
+        assert F.maxpool1d(x, 2).shape == F.maxpool1d(x, 2, stride=2).shape == (1, 1, 4)
+        assert F.avgpool1d(x, 2).shape == (1, 1, 4)
+        assert F.maxpool1d(x, 2, stride=1).shape == (1, 1, 7)
 
 
 class TestPooling:
