@@ -58,8 +58,14 @@ def _cmd_prepare(args) -> int:
             222, 602, 39, 64, seed=args.seed, length=args.length,
             signature_amp=args.signature_amp)
     elif args.synthetic:
-        per_class = ([int(x) for x in args.per_class.split(",")]
-                     if "," in args.per_class else int(args.per_class))
+        try:
+            counts = [int(x) for x in args.per_class.split(",")]
+            if min(counts) < 1:
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"--per-class takes a count >= 1 or comma-separated "
+                              f"counts, got {args.per_class!r}") from None
+        per_class = counts if "," in args.per_class else counts[0]
         manifest, records = generate_synthetic_dataset(
             args.classes, per_class, TaskKind(args.task), seed=args.seed,
             length=args.length, signature_amp=args.signature_amp)
@@ -91,7 +97,15 @@ def _import_directory(args) -> tuple[DatasetManifest, list]:
             if required not in fields:
                 raise DataError(f"labels csv is missing column {required!r}")
         rows = list(reader)
-    has_folds = "fold" in fields
+    folds = None
+    if "fold" in fields:
+        folds = []
+        for line_no, r in enumerate(rows, start=2):
+            try:
+                folds.append(int(r["fold"]))
+            except (TypeError, ValueError):
+                raise DataError(f"{labels_csv} line {line_no}: fold "
+                                f"{r['fold']!r} is not an integer") from None
 
     class_names = sorted({name for r in rows for name in r["labels"].split("|")
                           if name.strip()})
@@ -116,9 +130,7 @@ def _import_directory(args) -> tuple[DatasetManifest, list]:
     if not records:
         raise DataError("no records imported")
 
-    if has_folds:
-        folds = [int(r["fold"]) for r, _, _ in manifest_rows]
-    else:
+    if folds is None:
         label_matrix = np.stack([lv.values for _, lv, _ in manifest_rows])
         folds = stratified_kfold(label_matrix, k=args.folds, seed=args.seed,
                                  class_names=task.classes).tolist()

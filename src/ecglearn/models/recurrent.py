@@ -38,14 +38,10 @@ class RecurrentStack(Module):
             setattr(self, f"layer{li}",
                     _CellWeights(in_dim, hidden_size, gates, rng, dtype))
         self.num_layers = num_layers
-        self.hidden_size = hidden_size
 
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        weights = []
-        for li in range(self.num_layers):
-            cell = getattr(self, f"layer{li}")
-            weights.append({"w_ih": cell.w_ih, "w_hh": cell.w_hh,
-                            "b_ih": cell.b_ih, "b_hh": cell.b_hh})
+        weights = [dict(getattr(self, f"layer{li}").named_parameters())
+                   for li in range(self.num_layers)]
         outputs, states = unroll(x, weights, kind=self.kind)
         final = states[-1][0] if self.kind == "lstm" else states[-1]
         return outputs, final

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, apply_override, config_from_dict, config_to_dict
+from .config import (RunConfig, _read_json, apply_override, config_from_dict,
+                     config_to_dict)
 from .dataio import (BatchLoader, DatasetManifest, SplitPlan, load_manifest,
                      load_records, split_indices)
 from .errors import ConfigError, EcglearnError
@@ -34,6 +35,7 @@ __all__ = ["default_output_root", "prepare_run_dir", "run_train",
 
 OUTPUT_ROOT_ENV = "ECGLEARN_RUNS"
 RADIAL_KEYS = ("auc", "sensitivity", "specificity", "ppv")
+_TABLE_KEYS = ("accuracy", "f1", "map", "gmean")
 
 
 def default_output_root() -> Path:
@@ -235,7 +237,8 @@ def run_report(run_dirs: list[str | Path], out_dir: str | Path,
     Emits report.md and report.csv (rows = runs; columns = accuracy, F1, MAP,
     G-mean) and one radial-<run>.json per run with the comparison axes
     (AUC, sensitivity, specificity, PPV). Incomplete run directories are
-    skipped with a warning.
+    skipped with a warning; a malformed metrics.json or config.json is a
+    ConfigError naming the file.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -247,24 +250,29 @@ def run_report(run_dirs: list[str | Path], out_dir: str | Path,
             if log:
                 log(f"warning: {rd} has no metrics.json; skipped")
             continue
-        metrics = json.loads(metrics_path.read_text())
-        cfg = {}
-        if (rd / "config.json").exists():
-            cfg = json.loads((rd / "config.json").read_text())
+        metrics = _read_json(metrics_path)
+        if not isinstance(metrics, dict):
+            raise ConfigError(f"{metrics_path}: not a JSON object")
+        bad = [k for k in (*_TABLE_KEYS, *RADIAL_KEYS)
+               if not isinstance(metrics.get(k), (int, float))]
+        if bad:
+            raise ConfigError(f"{metrics_path}: missing or non-numeric {', '.join(bad)}")
+        cfg_path = rd / "config.json"
+        cfg = _read_json(cfg_path) if cfg_path.exists() else {}
+        if not isinstance(cfg, dict) or not isinstance(cfg.get("model", {}), dict):
+            raise ConfigError(f"{cfg_path}: not a run config (no model object)")
         name = rd.name
         table.append({
             "run": name,
             "architecture": cfg.get("model", {}).get("architecture", "?"),
-            "accuracy": metrics["accuracy"], "f1": metrics["f1"],
-            "map": metrics["map"], "gmean": metrics["gmean"],
+            **{k: metrics[k] for k in _TABLE_KEYS},
         })
         radial = {k: metrics[k] for k in RADIAL_KEYS}
         (out / f"radial-{name}.json").write_text(
             json.dumps(radial, indent=2, sort_keys=True) + "\n")
 
     with open(out / "report.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["run", "architecture", "accuracy",
-                                                "f1", "map", "gmean"])
+        writer = csv.DictWriter(fh, fieldnames=["run", "architecture", *_TABLE_KEYS])
         writer.writeheader()
         writer.writerows(table)
 

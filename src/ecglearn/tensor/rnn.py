@@ -1,5 +1,9 @@
 """GRU and LSTM cell updates plus multi-layer sequence unrolling.
 
+``unroll`` is one loop over layers and steps: the cell is chosen once from
+the kind, each layer's step outputs replace its step inputs in one list, and
+the top layer's outputs become [B, T, H] through one concat and one reshape.
+
 Gate equations follow the standard formulation. For an input x_t and hidden
 state h, with packed weights w_ih [in, gates*H], w_hh [H, gates*H] and biases
 b_ih, b_hh [gates*H] (gate order r,z,n for GRU and i,f,g,o for LSTM):
@@ -89,39 +93,24 @@ def unroll(x: Tensor, layer_weights: list[dict], kind: str,
                 f"stacked layer {li} expects input {expected}, previous hidden "
                 f"size is {hidden_sizes[li - 1]}")
 
-    def zeros_state(H):
-        z = Tensor(np.zeros((B, H), dtype=x.dtype))
-        if kind == "lstm":
-            return (z, Tensor(np.zeros((B, H), dtype=x.dtype)))
-        return z
-
+    want = [((B, H), (B, H)) if kind == "lstm" else (B, H) for H in hidden_sizes]
     if initial is None:
-        states = [zeros_state(H) for H in hidden_sizes]
+        states = [tuple(Tensor(np.zeros(s, x.dtype)) for s in w) if kind == "lstm"
+                  else Tensor(np.zeros(w, x.dtype)) for w in want]
     else:
         states = list(initial)
-        want = [((B, H), (B, H)) if kind == "lstm" else (B, H) for H in hidden_sizes]
         got = [tuple(t.shape for t in s) if isinstance(s, (tuple, list)) else s.shape
                for s in states]
         if got != want:
             raise ShapeError(f"unroll: initial must hold one state per layer, "
                              f"shaped {want}; got {got}")
 
+    cell = gru_cell if kind == "gru" else lstm_cell
     seq = [x[:, t, :] for t in range(T)]
     for li, lw in enumerate(layer_weights):
-        out_steps = []
         state = states[li]
         for t in range(T):
-            if kind == "gru":
-                state = gru_cell(seq[t], state, lw["w_ih"], lw["w_hh"],
-                                 lw["b_ih"], lw["b_hh"])
-                out_steps.append(state)
-            else:
-                state = lstm_cell(seq[t], state, lw["w_ih"], lw["w_hh"],
-                                  lw["b_ih"], lw["b_hh"])
-                out_steps.append(state[0])
+            state = cell(seq[t], state, lw["w_ih"], lw["w_hh"], lw["b_ih"], lw["b_hh"])
+            seq[t] = state[0] if kind == "lstm" else state
         states[li] = state
-        seq = out_steps
-
-    H = hidden_sizes[-1]
-    outputs = concat([s.reshape(B, 1, H) for s in seq], axis=1)
-    return outputs, states
+    return concat(seq, axis=1).reshape(B, T, hidden_sizes[-1]), states

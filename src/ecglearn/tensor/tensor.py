@@ -344,14 +344,13 @@ def _wrap(x, dtype) -> Tensor:
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function of an array, stable in both tails.
 
-    exp is only taken of non-positive values, so no input overflows.
+    exp is only taken of min(x, -x) <= 0, so no input overflows; x >= 0
+    takes 1 / (1 + e) and the rest e / (1 + e). Branch-free, each element
+    sees the same operations as under a boolean-mask split, so the bytes
+    are the same, NaN's sign included (exp(-|x|) would flip it).
     """
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

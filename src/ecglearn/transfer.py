@@ -136,8 +136,10 @@ def load_checkpoint(path: str | Path, validate_shapes: bool = True) -> Checkpoin
     """Parse and validate a checkpoint; a corrupt file never yields a model.
 
     Validation: magic and version, declared vs actual data size (truncation),
-    fingerprint against the embedded model description, and (by default)
-    name/shape agreement with a freshly built instance of that description.
+    fingerprint against the embedded model description, each tensor starting
+    where the previous one ends (the layout ``save_checkpoint`` writes), and
+    (by default) name/shape agreement with a freshly built instance of that
+    description.
     """
     path = Path(path)
     try:
@@ -172,18 +174,25 @@ def load_checkpoint(path: str | Path, validate_shapes: bool = True) -> Checkpoin
             f"{path.name}: fingerprint mismatch; the embedded model "
             "description does not match the recorded fingerprint")
 
-    body = data[16 + header_len:]
-    if len(body) != expected:
+    base = 16 + header_len
+    if len(data) - base != expected:
         raise CheckpointError(
-            f"{path.name}: data section holds {len(body)} bytes, header "
+            f"{path.name}: data section holds {len(data) - base} bytes, header "
             f"declares {expected} (file truncated or padded)")
-    tensors = {}
+    tensors, offset = {}, 0
     try:
         for entry in header["tensors"]:
-            raw = body[entry["offset"]:entry["offset"] + entry["nbytes"]]
-            arr = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"])
-            tensors[entry["name"]] = arr.astype(arr.dtype.newbyteorder("="))
-    except (KeyError, TypeError, ValueError) as e:
+            name, dtype, nbytes = entry["name"], np.dtype(entry["dtype"]), entry["nbytes"]
+            if entry["offset"] != offset:
+                raise ValueError(f"tensor {name!r} at offset {entry['offset']}, "
+                                 f"expected {offset}")
+            arr = np.frombuffer(data, dtype, nbytes // dtype.itemsize, base + offset)
+            if arr.nbytes != nbytes:
+                raise ValueError(f"tensor {name!r}: nbytes {nbytes} is not a whole "
+                                 f"number of {dtype} items")
+            tensors[name] = arr.reshape(entry["shape"]).astype(dtype.newbyteorder("="))
+            offset += nbytes
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise CheckpointError(f"{path.name}: corrupt header ({e!r})") from None
     ckpt = Checkpoint(version=header["version"], fingerprint=header["fingerprint"],
                       spec=spec, seed=header.get("seed", 0),

@@ -4,8 +4,9 @@ the forward passes of those ops from before they shared one windowing
 prologue and one graph node per call, the per-input finite-difference loop
 that ``gradcheck`` ran before it became the one-tensor case of
 ``param_gradcheck``, the batch and layer norm nodes from before they
-shared one forward and backward, and relu from before it became fmax plus
-an in-place +0.
+shared one forward and backward, relu from before it became fmax plus an
+in-place +0, and the logistic and the recurrent unroll from before the
+logistic dropped its boolean masks and the unroll became one cell loop.
 
 Deliberately written with explicit python loops and none of the library's
 vectorized machinery, so agreement is meaningful. Conventions match the
@@ -21,7 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ecglearn.errors import AutodiffError, ShapeError
-from ecglearn.tensor import GradcheckReport, Tensor, no_grad
+from ecglearn.tensor import GradcheckReport, Tensor, gru_cell, lstm_cell, no_grad
+from ecglearn.tensor.functional import concat
 
 
 def oracle_column_binarized(pred_col, tgt_col):
@@ -499,3 +501,88 @@ def oracle_relu(x):
     mask = x.data > 0
     data = np.where(mask, x.data, 0.0).astype(x.dtype, copy=False)
     return Tensor._from_op(data, (x,), lambda g: (g * mask,))
+
+
+# ---------------------------------------------------------------------------
+# the logistic from before it became branch-free: exp of -x over the x >= 0
+# mask and of x over the rest, gathered and scattered through the masks.
+
+
+def oracle_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function of an array, stable in both tails.
+
+    exp is only taken of non-positive values, so no input overflows.
+    """
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# unroll from before it became one cell loop: a kind branch per step, its own
+# zero-state builder, a second per-layer output list and T reshape nodes
+# before the concat.
+
+
+def oracle_unroll(x: Tensor, layer_weights: list[dict], kind: str,
+                  initial=None) -> tuple[Tensor, list]:
+    """Run stacked recurrent layers over a [B, T, F] sequence.
+
+    ``layer_weights`` holds one dict per layer with keys w_ih, w_hh, b_ih,
+    b_hh. ``initial`` holds one state per layer, [B, H] or for LSTM an (h, c)
+    pair of them; it defaults to zeros. Returns the top layer's per-step
+    outputs [B, T, H] and the final state of every layer (h, or (h, c) for
+    LSTM).
+    """
+    if x.ndim != 3:
+        raise ShapeError(f"unroll expects [B, T, F], got {x.shape}")
+    if kind not in ("gru", "lstm"):
+        raise ShapeError(f"unknown cell kind {kind!r}")
+    B, T, _ = x.shape
+    hidden_sizes = [lw["w_hh"].shape[0] for lw in layer_weights]
+    for li in range(1, len(layer_weights)):
+        expected = layer_weights[li]["w_ih"].shape[0]
+        if expected != hidden_sizes[li - 1]:
+            raise ShapeError(
+                f"stacked layer {li} expects input {expected}, previous hidden "
+                f"size is {hidden_sizes[li - 1]}")
+
+    def zeros_state(H):
+        z = Tensor(np.zeros((B, H), dtype=x.dtype))
+        if kind == "lstm":
+            return (z, Tensor(np.zeros((B, H), dtype=x.dtype)))
+        return z
+
+    if initial is None:
+        states = [zeros_state(H) for H in hidden_sizes]
+    else:
+        states = list(initial)
+        want = [((B, H), (B, H)) if kind == "lstm" else (B, H) for H in hidden_sizes]
+        got = [tuple(t.shape for t in s) if isinstance(s, (tuple, list)) else s.shape
+               for s in states]
+        if got != want:
+            raise ShapeError(f"unroll: initial must hold one state per layer, "
+                             f"shaped {want}; got {got}")
+
+    seq = [x[:, t, :] for t in range(T)]
+    for li, lw in enumerate(layer_weights):
+        out_steps = []
+        state = states[li]
+        for t in range(T):
+            if kind == "gru":
+                state = gru_cell(seq[t], state, lw["w_ih"], lw["w_hh"],
+                                 lw["b_ih"], lw["b_hh"])
+                out_steps.append(state)
+            else:
+                state = lstm_cell(seq[t], state, lw["w_ih"], lw["w_hh"],
+                                  lw["b_ih"], lw["b_hh"])
+                out_steps.append(state[0])
+        states[li] = state
+        seq = out_steps
+
+    H = hidden_sizes[-1]
+    outputs = concat([s.reshape(B, 1, H) for s in seq], axis=1)
+    return outputs, states

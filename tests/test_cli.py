@@ -94,6 +94,32 @@ class TestPrepare:
         assert "20 records" in out
         assert "fold 9: 2" in out and "fold 10: 2" in out
 
+    @pytest.mark.parametrize("per_class", ["abc", "3,x", "-5", "0", "3,0"])
+    def test_malformed_per_class_is_config_error(self, tmp_path, capsys, per_class):
+        rc = cli("prepare", "--out", tmp_path / "d", "--synthetic",
+                 "--classes", 2, "--per-class", per_class, "--task", "multiclass",
+                 "--length", 400)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--per-class" in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("fold", ["x", "2.5", ""])
+    def test_import_non_integer_fold_is_data_error(self, tmp_path, capsys, fold):
+        from ecglearn.dataio import write_wfdb_record
+        src = tmp_path / "raw"
+        for i in range(3):
+            write_wfdb_record(src / f"rec{i}", np.zeros((12, 10)), fs=500.0)
+        (src / "labels.csv").write_text(
+            f"id,labels,fold\nrec0,a,1\nrec1,b,2\nrec2,a,{fold}\n")
+        rc = cli("prepare", "--out", tmp_path / "d", "--import-dir", src,
+                 "--labels", src / "labels.csv", "--task", "multilabel")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"labels.csv line 4: fold {fold!r} is not an integer" in err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_train_produces_run_directory(self, tmp_path, dataset, capsys):
@@ -197,6 +223,10 @@ class TestFinetuneAndVerify:
         assert "head.weight" in out
 
 
+GOOD_METRICS = dict.fromkeys(["accuracy", "f1", "map", "gmean", "auc", "sensitivity",
+                              "specificity", "ppv"], 0.5)
+
+
 class TestSweepEvaluateReport:
     def test_sweep_leaderboard(self, tmp_path, dataset, capsys):
         cfg = write_config(tmp_path, dataset)
@@ -279,6 +309,29 @@ class TestSweepEvaluateReport:
         rc = cli("report", incomplete, "--out", out)
         assert rc == 0
         assert "skipped" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("files, message", [
+        ({"metrics.json": "{not json"}, "metrics.json: invalid JSON"),
+        ({"metrics.json": "[]"}, "metrics.json: not a JSON object"),
+        ({"metrics.json": json.dumps({"f1": 0.5})},
+         "metrics.json: missing or non-numeric accuracy"),
+        ({"metrics.json": json.dumps({**GOOD_METRICS, "map": None})},
+         "metrics.json: missing or non-numeric map"),
+        ({"metrics.json": json.dumps(GOOD_METRICS), "config.json": "[1,"},
+         "config.json: invalid JSON"),
+        ({"metrics.json": json.dumps(GOOD_METRICS), "config.json": "[]"},
+         "config.json: not a run config"),
+    ], ids=["invalid-metrics", "metrics-list", "metrics-no-accuracy", "metrics-null",
+            "invalid-config", "config-list"])
+    def test_report_names_malformed_run_file(self, tmp_path, capsys, files, message):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name, text in files.items():
+            (run / name).write_text(text)
+        rc = cli("report", run, "--out", tmp_path / "summary")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
 
 class TestOutputDiscipline:

@@ -359,3 +359,24 @@ class TestTinyGradcheck:
         report = gradcheck(f, Tensor(rng.normal(size=(2, 12, 32))),
                            max_elements=96, rng=np.random.default_rng(0))
         assert report.passed, f"rel err {report.max_rel_err} at {report.worst_index}"
+
+
+class TestGraphSize:
+    """Graph nodes of one focal-loss training step, pinned so that graph
+    growth fails here without a benchmark run; a change that shrinks the
+    graph updates these pins on purpose."""
+
+    @pytest.mark.parametrize("arch, nodes", [("ResNet18_1D", 147),
+                                             ("CRNN_GRU", 3034),
+                                             ("CRNN_LSTM", 2522)])
+    def test_nodes_per_training_step(self, arch, nodes):
+        hp = {"base_width": 8}
+        if arch.startswith("CRNN"):
+            hp["hidden_size"] = 16
+        model = build(ModelSpec(arch, TASK1, hp), seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2, 12, 2048)).astype(np.float32)
+        y = np.array([[1.0], [0.0]], dtype=np.float32)
+        model.train_mode()
+        loss = focal_loss(model.forward(x), y)
+        assert len(loss._toposort()) == nodes

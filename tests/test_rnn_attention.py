@@ -6,6 +6,8 @@ import pytest
 from ecglearn.errors import ShapeError
 from ecglearn.tensor import (Tensor, gradcheck, gru_cell, lstm_cell,
                              multihead_attention, no_grad, unroll)
+from ecglearn.tensor import tensor as tensor_module
+from oracles import oracle_sigmoid, oracle_unroll
 
 
 def T64(arr, **kw):
@@ -165,6 +167,51 @@ class TestUnroll:
                                    (narrow, narrow) if kind == "lstm" else narrow]}[case]
         with pytest.raises(ShapeError, match="initial"):
             unroll(x, layers, kind=kind, initial=initial)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_initial", [False, True], ids=["zeros", "initial"])
+    @pytest.mark.parametrize("num_layers", [1, 3])
+    @pytest.mark.parametrize("kind, gates", [("gru", 3), ("lstm", 4)])
+    def test_matches_oracle_bitwise(self, kind, gates, num_layers, with_initial,
+                                    dtype, monkeypatch):
+        B, T, F, H = 3, 5, 4, 6
+
+        def run(unroll_fn):
+            rng = np.random.default_rng(13)
+
+            def leaf(shape, scale=1.0):
+                data = (rng.normal(size=shape) * scale).astype(dtype)
+                return Tensor(data, requires_grad=True)
+
+            def flat(layer_states):
+                return [t for s in layer_states for t in (s if kind == "lstm" else (s,))]
+
+            x = leaf((B, T, F))
+            layers = [{"w_ih": leaf((F if li == 0 else H, gates * H), 0.4),
+                       "w_hh": leaf((H, gates * H), 0.4),
+                       "b_ih": leaf(gates * H, 0.1), "b_hh": leaf(gates * H, 0.1)}
+                      for li in range(num_layers)]
+            initial = None
+            if with_initial:
+                initial = [(leaf((B, H)), leaf((B, H))) if kind == "lstm"
+                           else leaf((B, H)) for _ in range(num_layers)]
+            out, states = unroll_fn(x, layers, kind=kind, initial=initial)
+            # every output and every final state feeds the loss
+            loss = (out * Tensor(rng.normal(size=out.shape).astype(dtype))).sum()
+            for t in flat(states):
+                loss = loss + (t * Tensor(rng.normal(size=t.shape).astype(dtype))).sum()
+            loss.backward()
+            leaves = [x, *(w for lw in layers for w in lw.values()),
+                      *flat(initial or [])]
+            return [t.data for t in (out, *flat(states))] + [t.grad for t in leaves]
+
+        got = run(unroll)
+        monkeypatch.setattr(tensor_module, "stable_sigmoid", oracle_sigmoid)
+        want = run(oracle_unroll)
+        assert len(got) == len(want)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes(), i
 
     def test_gradcheck_through_short_unroll(self):
         rng = np.random.default_rng(9)

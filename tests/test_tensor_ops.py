@@ -7,7 +7,8 @@ from ecglearn.dataio import TaskKind
 from ecglearn.errors import ShapeError
 from ecglearn.learn.train import _scores_from_logits
 from ecglearn.tensor import Tensor, functional as F
-from oracles import oracle_relu
+from ecglearn.tensor import tensor as tensor_module
+from oracles import oracle_relu, oracle_sigmoid
 
 
 def T(arr, **kw):
@@ -68,6 +69,38 @@ class TestElementwise:
             scores = _scores_from_logits(logits, TaskKind.MULTICLASS)
             assert scores.dtype == np.float64
             assert scores.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_matches_oracle_bitwise(self, dtype, monkeypatch):
+        info = np.finfo(dtype)
+        tiny = info.smallest_subnormal
+        special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1),
+                            tiny, -tiny, 3 * tiny, -3 * tiny, info.max, -info.max,
+                            88.7, -88.7, 709.8, -709.8], dtype=dtype)
+        rng = np.random.default_rng(12)
+        x = np.concatenate([special, (rng.normal(size=64) * 30).astype(dtype), special])
+        g = np.concatenate([special[::-1], rng.normal(size=64).astype(dtype), special])
+
+        def run(n):
+            # the logistic's output and the gradients of the two ops built on it
+            out = []
+            with np.errstate(invalid="ignore", over="ignore"):   # inf * 0, inf sums
+                for op in (Tensor.sigmoid, F.logsigmoid):
+                    leaf = Tensor(x[:n].copy(), requires_grad=True)
+                    (op(leaf) * Tensor(g[:n])).sum().backward()
+                    out.append(leaf.grad)
+                return [tensor_module.stable_sigmoid(x[:n]), *out]
+
+        # short prefixes put each special value in a vectorized loop's tail,
+        # which takes its own path
+        prefixes = [*range(1, 17), len(x)]
+        got = [run(n) for n in prefixes]
+        monkeypatch.setattr(tensor_module, "stable_sigmoid", oracle_sigmoid)
+        monkeypatch.setattr(F, "stable_sigmoid", oracle_sigmoid)
+        for n, arrays in zip(prefixes, got):
+            for a, b in zip(arrays, run(n)):
+                assert a.dtype == b.dtype == dtype
+                assert a.tobytes() == b.tobytes(), n
 
     def test_logsigmoid_matches_log_of_sigmoid(self):
         x = np.linspace(-20, 20, 41)

@@ -69,6 +69,20 @@ def each_tensor(edit):
                            "tensors": [edit(dict(t)) for t in header["tensors"]]}
 
 
+def swapped_offsets(header):
+    """bn1's beta and gamma (16 B each) trade data offsets."""
+    table = {t["name"]: dict(t) for t in header["tensors"]}
+    beta, gamma = (table[f"backbone.resnet.bn1.{n}"] for n in ("beta", "gamma"))
+    beta["offset"], gamma["offset"] = gamma["offset"], beta["offset"]
+    return {**header, "tensors": list(table.values())}
+
+
+def shifted_first_offset(header):
+    """The first tensor starts one float32 late, still inside the data."""
+    first, *rest = header["tensors"]
+    return {**header, "tensors": [{**first, "offset": first["offset"] + 4}, *rest]}
+
+
 # headers that are valid JSON but not a checkpoint header
 MALFORMED_CKPT_HEADERS = {
     "list": list,
@@ -80,7 +94,10 @@ MALFORMED_CKPT_HEADERS = {
     "tensors-int": lambda header: {**header, "tensors": 5},
     "tensor-no-nbytes": each_tensor(without("nbytes")),
     "tensor-bad-dtype": each_tensor(lambda t: {**t, "dtype": "<i9"}),
+    "tensor-zero-size-dtype": each_tensor(lambda t: {**t, "dtype": "S0"}),
     "tensor-shape-vs-nbytes": each_tensor(lambda t: {**t, "shape": t["shape"] + [3]}),
+    "tensor-offsets-swapped": swapped_offsets,
+    "tensor-offset-shifted": shifted_first_offset,
 }
 
 
