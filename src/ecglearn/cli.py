@@ -53,6 +53,8 @@ def _print_dataset_summary(manifest: DatasetManifest):
 
 
 def _cmd_prepare(args) -> int:
+    if (args.pe_shaped or args.synthetic) and args.length < 1:
+        raise ConfigError(f"--length takes a sample count >= 1, got {args.length}")
     if args.pe_shaped:
         manifest, records = generate_imbalanced_binary(
             222, 602, 39, 64, seed=args.seed, length=args.length,

@@ -122,6 +122,10 @@ def load_manifest(directory: str | Path) -> DatasetManifest:
         if missing:
             raise DataError(f"manifest.csv is missing columns: {', '.join(missing)}")
         for line_no, rec in enumerate(reader, start=2):
+            short = [c for c in _CSV_COLUMNS if rec[c] is None]
+            if short:
+                raise DataError(f"manifest.csv line {line_no}: row ends before "
+                                f"{', '.join(short)}")
             try:
                 fold = int(rec["fold"])
             except ValueError:

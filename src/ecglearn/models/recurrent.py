@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Parameter, Tensor, unroll
+# perfbench/tracer.py patches ``unroll`` under this module's name
+from ..tensor import Parameter, Tensor, recurrent_layer, unroll  # noqa: F401
 from ..tensor import init
 from .modules import Module
 
@@ -40,8 +41,7 @@ class RecurrentStack(Module):
         self.num_layers = num_layers
 
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        weights = [dict(getattr(self, f"layer{li}").named_parameters())
-                   for li in range(self.num_layers)]
-        outputs, states = unroll(x, weights, kind=self.kind)
-        final = states[-1][0] if self.kind == "lstm" else states[-1]
-        return outputs, final
+        for li in range(self.num_layers):
+            lw = getattr(self, f"layer{li}")
+            x = recurrent_layer(x, lw.w_ih, lw.w_hh, lw.b_ih, lw.b_hh, self.kind)
+        return x, x[:, -1, :]

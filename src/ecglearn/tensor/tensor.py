@@ -345,12 +345,15 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function of an array, stable in both tails.
 
     exp is only taken of min(x, -x) <= 0, so no input overflows; x >= 0
-    takes 1 / (1 + e) and the rest e / (1 + e). Branch-free, each element
-    sees the same operations as under a boolean-mask split, so the bytes
-    are the same, NaN's sign included (exp(-|x|) would flip it).
+    takes 1 / (1 + e) and the rest e / (1 + e). The numerator max(e, x >= 0)
+    is 1 where x >= 0 (there e <= 1) and e elsewhere (e >= 0, NaN passes
+    through), so each element sees the same operations as under a
+    boolean-mask split and the bytes are the same, NaN's sign included
+    (exp(-|x|) would flip it). Branch-free: a select on the sign costs more
+    than the whole rest when the signs are mixed.
     """
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

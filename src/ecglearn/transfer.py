@@ -84,12 +84,14 @@ class Checkpoint:
         return model
 
 
+_DTYPE_CODES = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
+
+
 def _dtype_code(arr: np.ndarray) -> str:
-    if arr.dtype == np.float32:
-        return "<f4"
-    if arr.dtype == np.float64:
-        return "<f8"
-    raise CheckpointError(f"unsupported tensor dtype {arr.dtype}")
+    try:
+        return _DTYPE_CODES[arr.dtype]
+    except KeyError:
+        raise CheckpointError(f"unsupported tensor dtype {arr.dtype}") from None
 
 
 def save_checkpoint(model: Model, provenance: dict, path: str | Path,
@@ -182,7 +184,11 @@ def load_checkpoint(path: str | Path, validate_shapes: bool = True) -> Checkpoin
     tensors, offset = {}, 0
     try:
         for entry in header["tensors"]:
-            name, dtype, nbytes = entry["name"], np.dtype(entry["dtype"]), entry["nbytes"]
+            name, code, nbytes = entry["name"], entry["dtype"], entry["nbytes"]
+            if code not in _DTYPE_CODES.values():
+                raise ValueError(f"tensor {name!r}: dtype {code!r} is not one of "
+                                 f"{', '.join(_DTYPE_CODES.values())}")
+            dtype = np.dtype(code)
             if entry["offset"] != offset:
                 raise ValueError(f"tensor {name!r} at offset {entry['offset']}, "
                                  f"expected {offset}")
@@ -192,7 +198,7 @@ def load_checkpoint(path: str | Path, validate_shapes: bool = True) -> Checkpoin
                                  f"number of {dtype} items")
             tensors[name] = arr.reshape(entry["shape"]).astype(dtype.newbyteorder("="))
             offset += nbytes
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path.name}: corrupt header ({e!r})") from None
     ckpt = Checkpoint(version=header["version"], fingerprint=header["fingerprint"],
                       spec=spec, seed=header.get("seed", 0),

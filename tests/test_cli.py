@@ -10,8 +10,8 @@ import pytest
 from ecglearn.cli import main
 from ecglearn.config import RunConfig, config_to_dict
 from ecglearn.transfer import save_checkpoint
-from test_dataio import (MALFORMED_HEADERS, MALFORMED_META, corrupt_meta,
-                         write_malformed_record)
+from test_dataio import (MALFORMED_HEADERS, MALFORMED_MANIFEST, MALFORMED_META,
+                         corrupt_manifest, corrupt_meta, write_malformed_record)
 from test_transfer import (MALFORMED_CKPT_HEADERS, rewrite_header,
                            trained_small_model)
 
@@ -102,6 +102,18 @@ class TestPrepare:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--per-class" in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("source, length", [("--synthetic", 0), ("--synthetic", -5),
+                                                ("--pe-shaped", 0)])
+    def test_non_positive_length_is_config_error(self, tmp_path, capsys, source,
+                                                 length):
+        args = ["--classes", 2, "--per-class", 3] if source == "--synthetic" else []
+        rc = cli("prepare", "--out", tmp_path / "d", source, *args,
+                 "--length", length)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--length" in err
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("fold", ["x", "2.5", ""])
@@ -391,6 +403,15 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "meta.json" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFEST))
+    def test_malformed_manifest_is_data_error(self, tmp_path, dataset, capsys, case):
+        line_no = corrupt_manifest(dataset, case)
+        rc = cli("train", "--config", write_config(tmp_path, dataset),
+                 "--data", dataset, "--out", tmp_path / "r")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: manifest.csv line {line_no}: ")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CKPT_HEADERS))
     def test_malformed_checkpoint_header_is_runtime_error(self, tmp_path, capsys,

@@ -66,6 +66,22 @@ def corrupt_meta(directory, case):
                     else json.dumps(edit(json.loads(meta.read_text()))))
 
 
+# edits of manifest.csv's last row, which the error must name by line
+MALFORMED_MANIFEST = {
+    "short-row": lambda row: "syn99999,records/syn00000.hea",
+    "fold-not-integer": lambda row: row.rsplit(",", 1)[0] + ",x",
+}
+
+
+def corrupt_manifest(directory, case):
+    """Rewrite manifest.csv's last row; returns that row's line number."""
+    path = directory / "manifest.csv"
+    lines = path.read_text().splitlines()
+    lines[-1] = MALFORMED_MANIFEST[case](lines[-1])
+    path.write_text("\n".join(lines) + "\n")
+    return len(lines)
+
+
 class TestWfdbRecords:
     def test_gain_arithmetic(self, tmp_path):
         # raw integers 200 and -200 at gain 200, baseline 0 -> 1.0 / -1.0 mV
@@ -272,6 +288,15 @@ class TestSaveLoadRoundtrip:
         save_dataset(m, recs, tmp_path / "ds")
         corrupt_meta(tmp_path / "ds", case)
         with pytest.raises(DataError, match=r"meta\.json: "):
+            load_manifest(tmp_path / "ds")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MANIFEST))
+    def test_malformed_manifest_row_names_its_line(self, tmp_path, case):
+        m, recs = generate_synthetic_dataset(2, 4, TaskKind.MULTICLASS, seed=14,
+                                             length=300, n_folds=4)
+        save_dataset(m, recs, tmp_path / "ds")
+        line_no = corrupt_manifest(tmp_path / "ds", case)
+        with pytest.raises(DataError, match=rf"^manifest\.csv line {line_no}: "):
             load_manifest(tmp_path / "ds")
 
     def test_missing_referenced_file(self, tmp_path):

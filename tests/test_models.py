@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,8 +371,8 @@ class TestGraphSize:
     graph updates these pins on purpose."""
 
     @pytest.mark.parametrize("arch, nodes", [("ResNet18_1D", 147),
-                                             ("CRNN_GRU", 3034),
-                                             ("CRNN_LSTM", 2522)])
+                                             ("CRNN_GRU", 157),
+                                             ("CRNN_LSTM", 157)])
     def test_nodes_per_training_step(self, arch, nodes):
         hp = {"base_width": 8}
         if arch.startswith("CRNN"):
@@ -380,3 +384,52 @@ class TestGraphSize:
         model.train_mode()
         loss = focal_loss(model.forward(x), y)
         assert len(loss._toposort()) == nodes
+
+
+BLAS_STEP = """
+import sys
+import numpy as np
+from ecglearn.dataio import TaskKind, TaskSpec
+from ecglearn.learn import focal_loss
+from ecglearn.learn.optim import Adam
+from ecglearn.models import ModelSpec, build
+
+model = build(ModelSpec("CRNN_GRU", TaskSpec(TaskKind.BINARY, ("positive",))), seed=4)
+rng = np.random.default_rng(4)
+x = rng.normal(size=(4, 12, 2048)).astype(np.float32)
+y = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=np.float32)
+model.train_mode()
+logits = model.forward(x)
+loss = focal_loss(logits, y)
+model.zero_grad()
+loss.backward()
+arrays = {"loss": loss.data, "logits": logits.data}
+arrays.update({"grad." + n: p.grad for n, p in model.named_parameters().items()})
+Adam(model.trainable_parameters(), lr=1e-3).step()
+arrays.update({"state." + n: a for n, a in model.state_dict().items()})
+np.savez(sys.argv[1], **arrays)
+"""
+
+
+class TestBlasThreadDeterminism:
+    """One focal-loss training step of a default-width CRNN_GRU gives the same
+    bytes with one BLAS thread and with two: the whole-sequence GEMMs of the
+    recurrent layers must not make results depend on the thread count."""
+
+    def test_step_is_bitwise_across_blas_threads(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        results = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"step{threads}.npz"
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-c", BLAS_STEP, str(out)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            with np.load(out) as arrays:
+                results.append({k: arrays[k] for k in arrays.files})
+        one, two = results
+        assert list(one) == list(two)
+        assert "grad.backbone.rnn.layer1.w_hh" in one
+        for name in one:
+            assert one[name].tobytes() == two[name].tobytes(), name

@@ -5,7 +5,8 @@ import pytest
 
 from ecglearn.errors import ShapeError
 from ecglearn.tensor import (Tensor, gradcheck, gru_cell, lstm_cell,
-                             multihead_attention, no_grad, unroll)
+                             multihead_attention, no_grad, param_gradcheck,
+                             recurrent_layer, unroll)
 from ecglearn.tensor import tensor as tensor_module
 from oracles import oracle_sigmoid, oracle_unroll
 
@@ -224,6 +225,93 @@ class TestUnroll:
 
         report = gradcheck(f, T64(rng.normal(size=(2, 4, 3))))
         assert report.passed
+
+
+def stacked_layers(x, layers, kind):
+    for lw in layers:
+        x = recurrent_layer(x, lw["w_ih"], lw["w_hh"], lw["b_ih"], lw["b_hh"], kind)
+    return x
+
+
+class TestRecurrentLayer:
+    """The fused one-node layer against the composed ``unroll``."""
+
+    @staticmethod
+    def leaves(kind, gates, num_layers, T, dtype, seed=21, B=3, F=4, H=5):
+        rng = np.random.default_rng(seed)
+
+        def leaf(shape, scale=1.0):
+            return Tensor((rng.normal(size=shape) * scale).astype(dtype),
+                          requires_grad=True)
+
+        x = leaf((B, T, F))
+        layers = [{"w_ih": leaf((F if li == 0 else H, gates * H), 0.4),
+                   "w_hh": leaf((H, gates * H), 0.4),
+                   "b_ih": leaf(gates * H, 0.1), "b_hh": leaf(gates * H, 0.1)}
+                  for li in range(num_layers)]
+        mix = Tensor(rng.normal(size=(B, T, H)).astype(dtype))
+        return x, layers, mix
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("T", [1, 7])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("kind, gates", [("gru", 3), ("lstm", 4)])
+    def test_matches_unroll(self, kind, gates, num_layers, T, dtype, rtol):
+        x, layers, mix = self.leaves(kind, gates, num_layers, T, dtype)
+        leaves = [x, *(w for lw in layers for w in lw.values())]
+
+        def run(fn):
+            for t in leaves:
+                t.grad = None
+            out = fn()
+            (out * mix).sum().backward()
+            return out.data, [t.grad for t in leaves]
+
+        got, got_grads = run(lambda: stacked_layers(x, layers, kind))
+        want, want_grads = run(lambda: unroll(x, layers, kind=kind)[0])
+        assert got.dtype == dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+        # the GEMMs over all steps sum in another order than the steps do
+        for g, w in zip(got_grads, want_grads):
+            assert g.dtype == dtype
+            np.testing.assert_allclose(g, w, rtol=0, atol=100 * rtol * np.abs(w).max())
+
+    @pytest.mark.parametrize("kind, gates", [("gru", 3), ("lstm", 4)])
+    def test_param_gradcheck(self, kind, gates):
+        x, layers, mix = self.leaves(kind, gates, 2, 4, np.float64, seed=22)
+        params = {"x": x, **{f"layer{li}.{k}": w for li, lw in enumerate(layers)
+                             for k, w in lw.items()}}
+        report = param_gradcheck(lambda: (stacked_layers(x, layers, kind) * mix).sum(),
+                                 params, samples_per_param=None)
+        assert report.passed, report
+
+    @pytest.mark.parametrize("kind, gates", [("gru", 3), ("lstm", 4)])
+    def test_seeded_rerun_is_bitwise(self, kind, gates):
+        def run():
+            x, layers, mix = self.leaves(kind, gates, 2, 9, np.float32, seed=23)
+            out = stacked_layers(x, layers, kind)
+            (out * mix).sum().backward()
+            return [out.data, x.grad, *(w.grad for lw in layers for w in lw.values())]
+
+        first, second = run(), run()
+        assert [a.tobytes() for a in first] == [b.tobytes() for b in second]
+
+    @pytest.mark.parametrize("case, match", [
+        ("x-2d", r"\[B, T, F\]"), ("x-no-steps", r"T >= 1"),
+        ("w_ih-rows", "w_ih shape"), ("w_ih-cols", "w_ih shape"),
+        ("w_hh", "w_hh shape"), ("b_hh", "biases"), ("kind", "unknown cell kind")])
+    def test_misshapen_input_is_shape_error(self, case, match):
+        x, (lw,), _ = self.leaves("gru", 3, 1, 4, np.float64)
+        args = {**lw, "x": x, "kind": "rnn" if case == "kind" else "gru"}
+        args.update({"x-2d": {"x": x[:, 0, :]},
+                     "x-no-steps": {"x": x[:, :0, :]},
+                     "w_ih-rows": {"w_ih": Tensor(np.zeros((3, 15)))},
+                     "w_ih-cols": {"w_ih": Tensor(np.zeros((4, 12)))},
+                     "w_hh": {"w_hh": Tensor(np.zeros((5, 12)))},
+                     "b_hh": {"b_hh": Tensor(np.zeros(12))},
+                     "kind": {}}[case])
+        with pytest.raises(ShapeError, match=match):
+            recurrent_layer(**args)
 
 
 def identity_proj(dim):

@@ -95,6 +95,9 @@ MALFORMED_CKPT_HEADERS = {
     "tensor-no-nbytes": each_tensor(without("nbytes")),
     "tensor-bad-dtype": each_tensor(lambda t: {**t, "dtype": "<i9"}),
     "tensor-zero-size-dtype": each_tensor(lambda t: {**t, "dtype": "S0"}),
+    "tensor-dtype-syntax": each_tensor(lambda t: {**t, "dtype": "04<f4"}),
+    "tensor-int-dtype": each_tensor(lambda t: {**t, "dtype": "<i4"}),
+    "tensor-big-endian-dtype": each_tensor(lambda t: {**t, "dtype": ">f4"}),
     "tensor-shape-vs-nbytes": each_tensor(lambda t: {**t, "shape": t["shape"] + [3]}),
     "tensor-offsets-swapped": swapped_offsets,
     "tensor-offset-shifted": shifted_first_offset,
