@@ -11,12 +11,16 @@ bilinear transform with frequency pre-warping, applied forward-backward
 magnitude response of the two-pass application is the squared single-pass
 response.
 
-The IIR recursion runs as a Python loop over samples on a time-major
-[n, lanes] buffer, where each step updates every lane at once. Its cost is
-almost all per-step call overhead, so ``butterworth_bandpass`` over a list
-of records stacks records of equal length into one pass instead of looping
-over them. Every lane gets exactly the arithmetic it would get alone, so the
-stacked output is bit-identical to filtering record by record.
+The IIR recursion is a Python loop over samples on a time-major [n, lanes]
+buffer, where each step updates every lane at once. Its cost is almost all
+per-step call overhead, so steps are what count, and the code takes as few
+as it can. Records of equal length stack into one buffer, so
+``butterworth_bandpass`` over a list filters them all in one pass instead of
+looping over them. The second-order sections run as a pipeline lagged one
+sample per section, so one step advances every section and a pass takes
+n + ns - 1 steps, not ns * n. Every lane gets exactly the arithmetic it
+would get alone, section by section, so the output is bit-identical to
+filtering each record, lead and section in turn.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import SignalError
 
@@ -213,30 +218,99 @@ def analytic_bandpass_gain(freq_hz: float, spec: FilterSpec, passes: int = 1) ->
     return single ** passes
 
 
-def _sosfilt_time_major(sections: np.ndarray, buf: np.ndarray) -> None:
+def _sosfilt_time_major(sections: np.ndarray, buf: np.ndarray,
+                        backward: bool = False) -> None:
     """Causal biquad cascade down axis 0 of a time-major [n, lanes] buffer,
-    in place (direct form II transposed).
+    in place (direct form II transposed); ``backward`` filters from the last
+    row to the first, as filtering the time-reversed buffer would.
 
-    The recursion is a Python loop over samples, so each step is a handful
-    of array ops whose cost is mostly call overhead; stacking more lanes into
-    ``buf`` makes a step barely dearer. Every lane sees exactly the arithmetic
-    of filtering it alone.
+    The ns sections run as a pipeline, each one sample behind the one before
+    it: at step t, section s filters row t - s (counted from the last row
+    when backward). The rows busy at one step are then one block of ns
+    adjacent rows, a sliding window over ``buf``, and a pass takes
+    n + ns - 1 steps instead of ns * n. A step is nine ufunc calls however
+    many lanes it holds, so its cost is call overhead and steps are what
+    count. Block row k runs section ns - 1 - k forward and section k
+    backward, so each section's coefficients and state keep their row as
+    the block slides, and the backward pass walks the same positive-stride
+    blocks in reverse. Coefficients are full [ns, lanes] arrays and the
+    scratch is preallocated, so no call broadcasts or allocates. The first
+    and last ns - 1 steps (every step when n < ns) run the busy sections on
+    slices. Each lane of each section gets exactly the arithmetic of
+    filtering it alone, one section after another.
     """
-    for b0, b1, b2, _a0, a1, a2 in sections.tolist():
-        z1 = np.zeros(buf.shape[1:])
-        z2 = np.zeros(buf.shape[1:])
-        for x in buf:
-            t1 = b1 * x
-            t2 = b2 * x
-            x *= b0          # the row becomes the output sample
-            x += z1
-            z1 = t1 - a1 * x + z2
-            z2 = t2 - a2 * x
+    n, lanes = buf.shape
+    ns = len(sections)
+    placed = sections if backward else sections[::-1]
+    full = ([np.repeat(placed[:, j:j + 1], lanes, axis=1) for j in (0, 1, 2, 4, 5)]
+            + [np.zeros((ns, lanes)) for _ in range(2)]
+            + [np.empty((ns, lanes)) for _ in range(3)])
+    # block r holds rows r..r+ns-1; every section is busy for 0 <= r <= n - ns
+    steady = as_strided(buf, (max(n - ns + 1, 0), ns, lanes),
+                        (buf.strides[0],) + buf.strides)
+
+    def ramp(r):
+        lo, hi = max(r, 0), min(r + ns, n)
+        return [buf[lo:hi]], [a[lo - r:hi - r] for a in full]
+
+    phases = ([ramp(r) for r in range(1 - ns, 0)]
+              + [(steady[::-1] if backward else steady, full)]
+              + [ramp(r) for r in range(max(n - ns + 1, 0), n)])
+    if backward:
+        phases.reverse()
+    mul, add, sub = np.multiply, np.add, np.subtract
+    for blocks, (b0, b1, b2, a1, a2, z1, z2, t1, t2, u) in phases:
+        for x in blocks:
+            mul(b1, x, t1)
+            mul(b2, x, t2)
+            mul(x, b0, x)        # the block becomes each section's output
+            add(x, z1, x)
+            mul(a1, x, u)
+            sub(t1, u, t1)
+            add(t1, z2, z1)
+            mul(a2, x, u)
+            sub(t2, u, z2)
+
+
+def _check_padlen(padlen: int) -> None:
+    if not isinstance(padlen, (int, np.integer)) or padlen < 0:
+        raise SignalError(f"padlen must be a non-negative integer, got {padlen!r}")
+
+
+def _check_filter_args(sections, x, padlen: int | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """``sections`` and ``x`` as float64 arrays, or a SignalError naming the
+    argument that ``sosfilt`` or ``filtfilt_sos`` cannot filter with."""
+    try:
+        sections = np.asarray(sections, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SignalError(
+            f"sections must be a numeric [n_sections, 6] array: {exc}") from None
+    if sections.ndim != 2 or sections.shape[1] != 6:
+        raise SignalError(
+            f"sections must be a [n_sections, 6] array, got shape {sections.shape}")
+    if len(sections) == 0:
+        raise SignalError("sections must hold at least one section")
+    if not np.all(np.isfinite(sections)):
+        raise SignalError("sections contain NaN/Inf")
+    if not np.all(sections[:, 3] == 1.0):
+        raise SignalError("sections must be normalised to a0 = 1, "
+                          f"got a0 = {sections[:, 3].tolist()}")
+    try:
+        x = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SignalError(f"x must be a numeric array: {exc}") from None
+    if x.ndim == 0 or x.shape[-1] == 0:
+        raise SignalError(f"x must hold at least one sample on its last axis, "
+                          f"got shape {x.shape}")
+    if padlen is not None:
+        _check_padlen(padlen)
+    return sections, x
 
 
 def sosfilt(sections: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Causal cascade of biquads along the last axis (direct form II transposed)."""
-    x = np.asarray(x, dtype=np.float64)
+    sections, x = _check_filter_args(sections, x)
     buf = x.reshape(-1, x.shape[-1]).T.copy()
     _sosfilt_time_major(sections, buf)
     return np.ascontiguousarray(buf.T).reshape(x.shape)
@@ -252,7 +326,7 @@ def _filtfilt_time_major(sections: np.ndarray, blocks: Sequence[np.ndarray],
     that buffer, lanes in block order.
     """
     n = blocks[0].shape[-1]
-    padlen = max(0, min(padlen, n - 1))
+    padlen = min(padlen, n - 1)
     buf = np.empty((n + 2 * padlen, sum(len(b) for b in blocks)))
     lane = 0
     for block in blocks:
@@ -264,7 +338,7 @@ def _filtfilt_time_major(sections: np.ndarray, blocks: Sequence[np.ndarray],
                                       - block[:, -2:-padlen - 2:-1]).T
         lane += len(block)
     _sosfilt_time_major(sections, buf)
-    _sosfilt_time_major(sections, buf[::-1])
+    _sosfilt_time_major(sections, buf, backward=True)
     return buf[padlen:padlen + n]
 
 
@@ -276,10 +350,10 @@ def filtfilt_sos(sections: np.ndarray, x: np.ndarray,
     lanes share one time-major pass, so a stack [N, 12, n] costs little more
     than one record and filters bit-identically to filtering each alone.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
+    sections, x = _check_filter_args(sections, x, padlen)
     if padlen is None:
         padlen = 3 * (2 * len(sections) + 1)
+    n = x.shape[-1]
     y = _filtfilt_time_major(sections, [x.reshape(-1, n)], padlen)
     return np.ascontiguousarray(y.T).reshape(x.shape)
 
@@ -311,6 +385,7 @@ def butterworth_bandpass(record: EcgRecord | Sequence[EcgRecord],
         # a second's worth of padding pushes edge transients out of the
         # signal; records shorter than that get n - 1
         padlen = int(spec.fs)
+    _check_padlen(padlen)
     by_length: dict[int, list[int]] = {}
     for i, rec in enumerate(records):
         by_length.setdefault(rec.n_samples, []).append(i)

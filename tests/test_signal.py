@@ -14,6 +14,48 @@ from ecglearn.signal import (EcgRecord, FilterSpec, NormalizationMethod,
 from oracles import oracle_bandpass, oracle_filtfilt, oracle_sosfilt
 
 
+# malformed ``sections`` for sosfilt and filtfilt_sos, and what the
+# SignalError must say
+GOOD_SECTION = [1.0, 0.0, -1.0, 1.0, -1.5, 0.6]
+MALFORMED_SECTIONS = {
+    "scalar": (1.0, r"sections must be a \[n_sections, 6\] array"),
+    "none": (None, r"sections must be a \[n_sections, 6\] array"),
+    "one-dimensional": (GOOD_SECTION, r"sections must be a \[n_sections, 6\] array"),
+    "five-columns": ([GOOD_SECTION[:5]], r"sections must be a \[n_sections, 6\] array"),
+    "three-dimensional": ([[GOOD_SECTION]],
+                          r"sections must be a \[n_sections, 6\] array"),
+    "ragged": ([GOOD_SECTION, GOOD_SECTION[:5]], "sections must be a numeric"),
+    "not-numeric": ([["b0"] * 6], "sections must be a numeric"),
+    "no-rows": (np.zeros((0, 6)), "sections must hold at least one section"),
+    "nan": ([GOOD_SECTION[:4] + [float("nan"), 0.6]], "sections contain NaN/Inf"),
+    "inf": ([GOOD_SECTION, GOOD_SECTION[:5] + [float("inf")]],
+            "sections contain NaN/Inf"),
+    "a0-not-one": ([GOOD_SECTION[:3] + [2.0] + GOOD_SECTION[4:]],
+                   r"sections must be normalised to a0 = 1, got a0 = \[2.0\]"),
+}
+
+# signals no filter can run on, and what the SignalError must say
+MALFORMED_SIGNALS = {
+    "scalar": (1.0, "x must hold at least one sample"),
+    "empty": ([], "x must hold at least one sample"),
+    "no-samples": (np.zeros((12, 0)), "x must hold at least one sample"),
+    "not-numeric": (["a", "b"], "x must be a numeric array"),
+}
+
+FILTERS = {"sosfilt": sosfilt, "filtfilt_sos": filtfilt_sos}
+
+
+def assert_same_bytes(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+def depth_lengths(order):
+    """Lengths around the pipeline depth of an order-k design (k sections):
+    shorter than, as long as and longer than it, and a 10 s record."""
+    return sorted({1, order - 1, order, order + 1, 5000} - {0})
+
+
 def make_record(signal, fs=500.0, rid="r0"):
     return EcgRecord(signal=signal, fs=fs, id=rid)
 
@@ -102,11 +144,14 @@ class TestButterworthBandpass:
 
 
 class TestStackedBandpass:
-    """The time-major, stacked filter against the lane-major reference loop."""
+    """The time-major, stacked, pipelined filter against the lane-major
+    reference loop, which runs one section after another."""
 
     SPEC = FilterSpec(fs=500.0, order=2, low_cut=1.0, high_cut=45.0)
     SECTIONS = design_butterworth_bandpass(SPEC)
     LENGTHS = (5000, 5000, 700, 300, 2, 1)
+    ORDERS = (1, 2, 3, 4)
+    DEPTHS = [(k, n) for k in ORDERS for n in depth_lengths(k)]
 
     def records(self, lengths=LENGTHS, seed=20):
         rng = np.random.default_rng(seed)
@@ -193,6 +238,60 @@ class TestStackedBandpass:
         assert np.array_equal(out, oracle_sosfilt(self.SECTIONS, x))
         assert out.shape == shape and out.flags.c_contiguous
         assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("order,n", DEPTHS)
+    def test_sosfilt_every_pipeline_depth(self, order, n):
+        sections = design_butterworth_bandpass(FilterSpec(fs=500.0, order=order))
+        x = np.random.default_rng(23).normal(size=(2, 3, n))
+        assert_same_bytes(sosfilt(sections, x), oracle_sosfilt(sections, x))
+
+    @pytest.mark.parametrize("padlen", [0, None])
+    @pytest.mark.parametrize("order,n", DEPTHS)
+    def test_filtfilt_every_pipeline_depth(self, order, n, padlen):
+        sections = design_butterworth_bandpass(FilterSpec(fs=500.0, order=order))
+        x = np.random.default_rng(24).normal(size=(3, n))
+        ref = oracle_filtfilt(sections, x, 3 * (2 * order + 1) if padlen is None
+                              else padlen)
+        assert_same_bytes(filtfilt_sos(sections, x, padlen), ref)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_list_every_pipeline_depth(self, order):
+        spec = FilterSpec(fs=500.0, order=order)
+        sections = design_butterworth_bandpass(spec)
+        recs = self.records(depth_lengths(order) * 2, seed=25)
+        for rec, got in zip(recs, butterworth_bandpass(recs, spec)):
+            assert_same_bytes(got.signal, oracle_bandpass(rec.signal, rec.fs, sections))
+
+
+class TestFilterArguments:
+    """Malformed input to the public filters is a SignalError naming it."""
+
+    @pytest.mark.parametrize("name", sorted(FILTERS))
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SECTIONS))
+    def test_malformed_sections(self, case, name):
+        sections, message = MALFORMED_SECTIONS[case]
+        with pytest.raises(SignalError, match=message):
+            FILTERS[name](sections, np.ones((12, 50)))
+
+    @pytest.mark.parametrize("name", sorted(FILTERS))
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SIGNALS))
+    def test_malformed_signal(self, case, name):
+        x, message = MALFORMED_SIGNALS[case]
+        with pytest.raises(SignalError, match=message):
+            FILTERS[name]([GOOD_SECTION], x)
+
+    @pytest.mark.parametrize("padlen", [-1, 2.5, "3"])
+    def test_bad_padlen(self, padlen):
+        with pytest.raises(SignalError, match="padlen must be a non-negative integer"):
+            filtfilt_sos([GOOD_SECTION], np.ones((12, 50)), padlen)
+        rec = make_record(np.ones((12, 50)))
+        with pytest.raises(SignalError, match="padlen must be a non-negative integer"):
+            butterworth_bandpass(rec, padlen=padlen)
+
+    def test_lists_are_accepted(self):
+        x = np.random.default_rng(26).normal(size=(12, 50))
+        assert_same_bytes(filtfilt_sos([GOOD_SECTION], x.tolist(), 0),
+                          oracle_filtfilt([GOOD_SECTION], x, 0))
 
 
 class TestSegmentExtract:
