@@ -15,6 +15,7 @@ augmentation stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,12 @@ def _check_prob(p: float, name: str):
 
 
 def _check_range(rng: tuple, name: str):
-    lo, hi = rng
+    try:
+        lo, hi = rng
+    except (TypeError, ValueError):
+        raise AugmentError(f"{name}: expected a (low, high) pair, got {rng!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise AugmentError(f"{name}: range must be finite, got ({lo}, {hi})")
     if lo > hi:
         raise AugmentError(f"{name}: empty range ({lo}, {hi})")
 
@@ -53,6 +59,9 @@ class RandomDropConfig(TransformConfig):
     def __post_init__(self):
         _check_prob(self.p, "random_drop")
         _check_range(self.fraction_range, "random_drop.fraction_range")
+        if self.fraction_range[0] < 0.0:
+            raise AugmentError(f"random_drop.fraction_range: fractions must be >= 0, "
+                               f"got {self.fraction_range}")
         if self.fraction_range[1] >= 1.0:
             raise AugmentError("random_drop: a fraction >= 1 would erase the sample")
 

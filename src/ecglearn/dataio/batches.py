@@ -44,6 +44,14 @@ class BatchLoader:
             raise DataError("cannot build a loader over an empty split")
         if batch_size < 1:
             raise DataError(f"batch size must be >= 1, got {batch_size}")
+        if segment_len < 1:
+            raise DataError(f"segment_len must be >= 1, got {segment_len}")
+        try:
+            normalization = NormalizationMethod(normalization)
+        except ValueError:
+            valid = ", ".join(m.value for m in NormalizationMethod)
+            raise DataError(f"unknown normalization {normalization!r}; "
+                            f"expected one of {valid}") from None
         for rec in records:
             if rec.labels is None:
                 raise DataError(f"record {rec.id!r} has no labels attached")
@@ -52,7 +60,7 @@ class BatchLoader:
         self.task = task
         self.batch_size = int(batch_size)
         self.segment_len = int(segment_len)
-        self.normalization = NormalizationMethod(normalization)
+        self.normalization = normalization
         self.augment = augment
         self.seed = int(seed)
         self.training = bool(training)

@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import DataError
 from ..signal import EcgRecord
 from .labels import LabelVector, TaskSpec
-from .records import load_wfdb_record, write_wfdb_record
+from .records import DEFAULT_GAIN, load_wfdb_record, write_wfdb_record
 
 __all__ = ["ManifestRow", "DatasetManifest", "save_dataset", "load_manifest",
            "load_records"]
@@ -66,7 +66,7 @@ class DatasetManifest:
 
 
 def save_dataset(manifest: DatasetManifest, records: list[EcgRecord] | None,
-                 directory: str | Path, gain: float = 200.0) -> Path:
+                 directory: str | Path, gain: float = DEFAULT_GAIN) -> Path:
     """Write meta.json + manifest.csv and, when given, the record files.
 
     Records are written under ``records/`` and the manifest rows are updated

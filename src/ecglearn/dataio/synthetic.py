@@ -46,17 +46,17 @@ def _base_ecg(rng: np.random.Generator, n: int, fs: float) -> np.ndarray:
     return _LEAD_PROFILE[:, None] * wave[None, :]
 
 
-def _make_record(index: int, labels: np.ndarray, seed: int, fs: float, n: int,
-                 noise: float, signature_amp: float, id_prefix: str) -> EcgRecord:
+def _make_record(index: int, row: ManifestRow, seed: int, fs: float, n: int,
+                 noise: float, signature_amp: float) -> EcgRecord:
     rng = substream(seed, "synthetic", index)
     sig = _base_ecg(rng, n, fs)
     t = np.arange(n) / fs
-    for j in np.flatnonzero(labels):
+    for j in np.flatnonzero(row.labels.values):
         phase = rng.uniform(0.0, 2.0 * np.pi)
         sig = sig + signature_amp * np.sin(
             2.0 * np.pi * class_frequency(int(j)) * t + phase)[None, :]
     sig = sig + rng.normal(0.0, noise, size=(N_LEADS, n))
-    return EcgRecord(signal=sig, fs=fs, id=f"{id_prefix}{index:05d}")
+    return EcgRecord(signal=sig, fs=fs, id=row.id, labels=row.labels)
 
 
 def signature_amplitude_estimate(record: EcgRecord, class_index: int) -> float:
@@ -81,6 +81,21 @@ def _label_rows(class_of_record: np.ndarray, task: TaskSpec, seed: int,
         extras = rng.random((n, task.k)) < extra_label_p
         labels = np.maximum(labels, extras.astype(np.int8))
     return labels
+
+
+def _assemble(name: str, task: TaskSpec, labels: np.ndarray, folds: np.ndarray,
+              seed: int, fs: float, length: int, noise: float,
+              signature_amp: float, id_prefix: str,
+              ) -> tuple[DatasetManifest, list[EcgRecord]]:
+    """One manifest row per label row, and per row a record from its own
+    substream that carries the row's LabelVector."""
+    rows = [ManifestRow(id=f"{id_prefix}{i:05d}", labels=LabelVector(task, labels[i]),
+                        fold=int(folds[i]))
+            for i in range(len(labels))]
+    records = [_make_record(i, row, seed, fs, length, noise, signature_amp)
+               for i, row in enumerate(rows)]
+    manifest = DatasetManifest(name=name, fs=fs, task=task, rows=rows)
+    return manifest, records
 
 
 def generate_synthetic_dataset(
@@ -109,23 +124,13 @@ def generate_synthetic_dataset(
         task = TaskSpec(kind=task_kind,
                         classes=tuple(f"c{j}" for j in range(n_classes)))
 
-    class_of_record = np.concatenate(
-        [np.full(c, j, dtype=np.int64) for j, c in enumerate(counts)])
+    class_of_record = np.repeat(np.arange(n_classes), counts)
     labels = _label_rows(class_of_record, task, seed, extra_label_p)
-    records = [_make_record(i, labels[i], seed, fs, length, noise,
-                            signature_amp, id_prefix)
-               for i in range(len(class_of_record))]
     folds = stratified_kfold(labels, k=n_folds, seed=seed,
                              class_names=task.classes)
-    rows = [ManifestRow(id=rec.id, labels=LabelVector(task, labels[i]),
-                        fold=int(folds[i]))
-            for i, rec in enumerate(records)]
-    manifest = DatasetManifest(
-        name=name or f"synthetic:{n_classes}x{'-'.join(map(str, counts))}",
-        fs=fs, task=task, rows=rows)
-    for rec, row in zip(records, manifest.rows):
-        rec.labels = row.labels
-    return manifest, records
+    name = name or f"synthetic:{n_classes}x{'-'.join(map(str, counts))}"
+    return _assemble(name, task, labels, folds, seed, fs, length, noise,
+                     signature_amp, id_prefix)
 
 
 def generate_imbalanced_binary(
@@ -139,25 +144,12 @@ def generate_imbalanced_binary(
     validation); all test records carry fold 10.
     """
     task = TaskSpec(kind=TaskKind.BINARY, classes=("positive",))
-    train_classes = np.concatenate([np.zeros(train_neg, dtype=np.int64),
-                                    np.ones(train_pos, dtype=np.int64)])
-    test_classes = np.concatenate([np.zeros(test_neg, dtype=np.int64),
-                                   np.ones(test_pos, dtype=np.int64)])
-    all_classes = np.concatenate([train_classes, test_classes])
+    all_classes = np.repeat([0, 1, 0, 1], [train_neg, train_pos, test_neg, test_pos])
     labels = _label_rows(all_classes, task, seed, 0.0)
-    records = [_make_record(i, labels[i], seed, fs, length, noise,
-                            signature_amp, "pe")
-               for i in range(len(all_classes))]
-
-    n_train = len(train_classes)
+    n_train = train_neg + train_pos
     train_folds = stratified_kfold(labels[:n_train], k=9, seed=seed,
                                    class_names=task.classes)
     folds = np.concatenate([train_folds,
-                            np.full(len(test_classes), 10, dtype=np.int64)])
-    rows = [ManifestRow(id=rec.id, labels=LabelVector(task, labels[i]),
-                        fold=int(folds[i]))
-            for i, rec in enumerate(records)]
-    manifest = DatasetManifest(name=name, fs=fs, task=task, rows=rows)
-    for rec, row in zip(records, manifest.rows):
-        rec.labels = row.labels
-    return manifest, records
+                            np.full(test_neg + test_pos, 10, dtype=np.int64)])
+    return _assemble(name, task, labels, folds, seed, fs, length, noise,
+                     signature_amp, "pe")

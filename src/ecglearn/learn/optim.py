@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,16 @@ class OptimizerConfig:
     patience: int = 10
 
     def __post_init__(self):
+        for name in ("lr", "eps", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise OptimizerError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise OptimizerError(f"learning rate must be positive, got {self.lr}")
-        if not (0 <= self.betas[0] < 1 and 0 <= self.betas[1] < 1):
+        try:
+            beta1, beta2 = self.betas
+        except (TypeError, ValueError):
+            raise OptimizerError(f"betas must be a pair, got {self.betas!r}") from None
+        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
             raise OptimizerError(f"betas must be in [0, 1), got {self.betas}")
         if self.batch_size < 1 or self.epochs < 1 or self.patience < 0:
             raise OptimizerError("batch_size/epochs must be >= 1, patience >= 0")

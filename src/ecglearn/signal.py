@@ -422,20 +422,16 @@ def extract_segment_at(record: EcgRecord, s: int, l: int) -> EcgRecord:
 def segment_extract(record: EcgRecord, l: int, rng: np.random.Generator) -> EcgRecord:
     """Random segment of length l; the same start index is used on every lead."""
     seg = draw_segment_start(record.n_samples, l, rng)
-    return record.with_signal(record.signal[:, seg.s:seg.s + seg.l].copy())
+    return extract_segment_at(record, seg.s, l)
 
 
 def pad_or_truncate(record: EcgRecord, target: int) -> EcgRecord:
     """Keep the first ``target`` samples, or zero-pad the tail up to it."""
     if target < 1:
         raise SignalError(f"target length must be >= 1, got {target}")
-    m = record.n_samples
-    if m == target:
-        return record.with_signal(record.signal.copy())
-    if m > target:
-        return record.with_signal(record.signal[:, :target].copy())
+    n = min(record.n_samples, target)
     out = np.zeros((N_LEADS, target), dtype=np.float64)
-    out[:, :m] = record.signal
+    out[:, :n] = record.signal[:, :n]
     return record.with_signal(out)
 
 
@@ -451,26 +447,29 @@ def normalize_array(x: np.ndarray, method: NormalizationMethod) -> np.ndarray:
     up; the centered numerator is zero in those cases anyway.
     """
     x = np.asarray(x, dtype=np.float64)
-    method = NormalizationMethod(method)
-    if method is NormalizationMethod.MINMAX:
-        lo = x.min(axis=1, keepdims=True)
-        span = x.max(axis=1, keepdims=True) - lo
-        return np.where(span > _EPS, (x - lo) / np.where(span > _EPS, span, 1.0), 0.0)
-    if method is NormalizationMethod.ZSCORE:
-        mu = x.mean(axis=1, keepdims=True)
-        sd = x.std(axis=1, keepdims=True)
-        return np.where(sd > _EPS, (x - mu) / np.where(sd > _EPS, sd, 1.0), 0.0)
-    if method is NormalizationMethod.RSCALE:
-        med = np.median(x, axis=1, keepdims=True)
-        q75, q25 = np.percentile(x, [75, 25], axis=1, keepdims=True)
-        iqr = q75 - q25
-        return np.where(iqr > _EPS, (x - med) / np.where(iqr > _EPS, iqr, 1.0), 0.0)
+    try:
+        method = NormalizationMethod(method)
+    except ValueError:
+        valid = ", ".join(m.value for m in NormalizationMethod)
+        raise SignalError(f"unknown normalization method {method!r}; "
+                          f"expected one of {valid}") from None
     if method is NormalizationMethod.LOGSCALE:
         return np.sign(x) * np.log1p(np.abs(x))
-    if method is NormalizationMethod.L2:
-        norm = np.linalg.norm(x, axis=1, keepdims=True)
-        return np.where(norm > _EPS, x / np.where(norm > _EPS, norm, 1.0), 0.0)
-    raise SignalError(f"unknown normalization method {method!r}")
+    if method is NormalizationMethod.MINMAX:
+        lo = x.min(axis=1, keepdims=True)
+        num = x - lo
+        den = x.max(axis=1, keepdims=True) - lo
+    elif method is NormalizationMethod.ZSCORE:
+        num = x - x.mean(axis=1, keepdims=True)
+        den = x.std(axis=1, keepdims=True)
+    elif method is NormalizationMethod.RSCALE:
+        q75, q25 = np.percentile(x, [75, 25], axis=1, keepdims=True)
+        num = x - np.median(x, axis=1, keepdims=True)
+        den = q75 - q25
+    else:
+        num = x
+        den = np.linalg.norm(x, axis=1, keepdims=True)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > _EPS)
 
 
 def normalize(record: EcgRecord, method: NormalizationMethod) -> EcgRecord:

@@ -6,7 +6,9 @@ that ``gradcheck`` ran before it became the one-tensor case of
 ``param_gradcheck``, the batch and layer norm nodes from before they
 shared one forward and backward, relu from before it became fmax plus an
 in-place +0, and the logistic and the recurrent unroll from before the
-logistic dropped its boolean masks and the unroll became one cell loop.
+logistic dropped its boolean masks and the unroll became one cell loop,
+and the record path (segment cuts, padding, per-lead normalization and the
+two synthetic generators) from before each of its steps was written once.
 
 Deliberately written with explicit python loops and none of the library's
 vectorized machinery, so agreement is meaningful. Conventions match the
@@ -21,7 +23,14 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ecglearn.errors import AutodiffError, ShapeError
+from ecglearn.dataio.labels import LabelVector, TaskKind, TaskSpec
+from ecglearn.dataio.manifest import DatasetManifest, ManifestRow
+from ecglearn.dataio.splits import stratified_kfold
+from ecglearn.dataio.synthetic import _LEAD_PROFILE, _label_rows, class_frequency
+from ecglearn.errors import AutodiffError, DataError, ShapeError, SignalError
+from ecglearn.seeding import substream
+from ecglearn.signal import (_EPS, N_LEADS, EcgRecord, NormalizationMethod,
+                             SegmentSpec, draw_segment_start)
 from ecglearn.tensor import GradcheckReport, Tensor, gru_cell, lstm_cell, no_grad
 from ecglearn.tensor.functional import concat
 
@@ -586,3 +595,176 @@ def oracle_unroll(x: Tensor, layer_weights: list[dict], kind: str,
     H = hidden_sizes[-1]
     outputs = concat([s.reshape(B, 1, H) for s in seq], axis=1)
     return outputs, states
+
+
+# ---------------------------------------------------------------------------
+# the record path from before each step was written once: segment cuts that
+# slice, copy and wrap the signal each on its own, a three-branch padding
+# copy, a nested np.where guarded division per normalization method, and the
+# two synthetic generators, each assembling its own records, manifest rows
+# and manifest. The generators keep their per-record generation
+# (``_base_ecg`` and ``_make_record``); they share the library's label rows,
+# folds and signature frequencies.
+
+
+def oracle_extract_segment_at(record: EcgRecord, s: int, l: int) -> EcgRecord:
+    """Deterministic cut [s, s+l) applied identically to all leads."""
+    seg = SegmentSpec(l=l, s=s, m=record.n_samples)
+    return record.with_signal(record.signal[:, seg.s:seg.s + seg.l].copy())
+
+
+def oracle_segment_extract(record: EcgRecord, l: int,
+                           rng: np.random.Generator) -> EcgRecord:
+    """Random segment of length l; the same start index is used on every lead."""
+    seg = draw_segment_start(record.n_samples, l, rng)
+    return record.with_signal(record.signal[:, seg.s:seg.s + seg.l].copy())
+
+
+def oracle_pad_or_truncate(record: EcgRecord, target: int) -> EcgRecord:
+    """Keep the first ``target`` samples, or zero-pad the tail up to it."""
+    if target < 1:
+        raise SignalError(f"target length must be >= 1, got {target}")
+    m = record.n_samples
+    if m == target:
+        return record.with_signal(record.signal.copy())
+    if m > target:
+        return record.with_signal(record.signal[:, :target].copy())
+    out = np.zeros((N_LEADS, target), dtype=np.float64)
+    out[:, :m] = record.signal
+    return record.with_signal(out)
+
+
+def oracle_normalize_array(x: np.ndarray, method: NormalizationMethod) -> np.ndarray:
+    """Normalize each lead of [leads, n] independently.
+
+    Degenerate denominators (constant, all-zero, or zero-IQR leads, which
+    zero-padding makes reachable) produce all-zero output instead of blowing
+    up; the centered numerator is zero in those cases anyway.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    method = NormalizationMethod(method)
+    if method is NormalizationMethod.MINMAX:
+        lo = x.min(axis=1, keepdims=True)
+        span = x.max(axis=1, keepdims=True) - lo
+        return np.where(span > _EPS, (x - lo) / np.where(span > _EPS, span, 1.0), 0.0)
+    if method is NormalizationMethod.ZSCORE:
+        mu = x.mean(axis=1, keepdims=True)
+        sd = x.std(axis=1, keepdims=True)
+        return np.where(sd > _EPS, (x - mu) / np.where(sd > _EPS, sd, 1.0), 0.0)
+    if method is NormalizationMethod.RSCALE:
+        med = np.median(x, axis=1, keepdims=True)
+        q75, q25 = np.percentile(x, [75, 25], axis=1, keepdims=True)
+        iqr = q75 - q25
+        return np.where(iqr > _EPS, (x - med) / np.where(iqr > _EPS, iqr, 1.0), 0.0)
+    if method is NormalizationMethod.LOGSCALE:
+        return np.sign(x) * np.log1p(np.abs(x))
+    if method is NormalizationMethod.L2:
+        norm = np.linalg.norm(x, axis=1, keepdims=True)
+        return np.where(norm > _EPS, x / np.where(norm > _EPS, norm, 1.0), 0.0)
+    raise SignalError(f"unknown normalization method {method!r}")
+
+
+def _oracle_base_ecg(rng: np.random.Generator, n: int, fs: float) -> np.ndarray:
+    t = np.arange(n) / fs
+    rate = rng.uniform(1.05, 1.35)
+    start = rng.uniform(0.0, 1.0 / rate)
+    beat_times = np.arange(start, t[-1] + 1.0 / fs, 1.0 / rate)
+    wave = np.zeros(n)
+    for tb in beat_times:
+        wave += np.exp(-0.5 * ((t - tb) / 0.012) ** 2)            # QRS-like
+        wave += 0.25 * np.exp(-0.5 * ((t - tb - 0.18) / 0.05) ** 2)  # T-wave-ish
+    return _LEAD_PROFILE[:, None] * wave[None, :]
+
+
+def _oracle_make_record(index: int, labels: np.ndarray, seed: int, fs: float,
+                        n: int, noise: float, signature_amp: float,
+                        id_prefix: str) -> EcgRecord:
+    rng = substream(seed, "synthetic", index)
+    sig = _oracle_base_ecg(rng, n, fs)
+    t = np.arange(n) / fs
+    for j in np.flatnonzero(labels):
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        sig = sig + signature_amp * np.sin(
+            2.0 * np.pi * class_frequency(int(j)) * t + phase)[None, :]
+    sig = sig + rng.normal(0.0, noise, size=(N_LEADS, n))
+    return EcgRecord(signal=sig, fs=fs, id=f"{id_prefix}{index:05d}")
+
+
+def oracle_generate_synthetic_dataset(
+    n_classes: int, n_per_class, task_kind: TaskKind, seed: int, *,
+    fs: float = 500.0, length: int = 2500, noise: float = 0.05,
+    signature_amp: float = 0.35, extra_label_p: float = 0.0,
+    n_folds: int = 10, name: str | None = None, id_prefix: str = "syn",
+) -> tuple[DatasetManifest, list[EcgRecord]]:
+    """Build an in-memory labeled dataset with stratified fold assignment.
+
+    ``n_per_class`` is an int or a per-class sequence. Binary tasks must use
+    n_classes=2 (class 0 negative, class 1 positive); only positives carry a
+    signature.
+    """
+    task_kind = TaskKind(task_kind)
+    counts = ([int(n_per_class)] * n_classes
+              if np.isscalar(n_per_class) else [int(c) for c in n_per_class])
+    if len(counts) != n_classes:
+        raise DataError(f"n_per_class has {len(counts)} entries for "
+                        f"{n_classes} classes")
+    if task_kind is TaskKind.BINARY:
+        if n_classes != 2:
+            raise DataError("binary generation uses 2 classes (negative, positive)")
+        task = TaskSpec(kind=task_kind, classes=("positive",))
+    else:
+        task = TaskSpec(kind=task_kind,
+                        classes=tuple(f"c{j}" for j in range(n_classes)))
+
+    class_of_record = np.concatenate(
+        [np.full(c, j, dtype=np.int64) for j, c in enumerate(counts)])
+    labels = _label_rows(class_of_record, task, seed, extra_label_p)
+    records = [_oracle_make_record(i, labels[i], seed, fs, length, noise,
+                                   signature_amp, id_prefix)
+               for i in range(len(class_of_record))]
+    folds = stratified_kfold(labels, k=n_folds, seed=seed,
+                             class_names=task.classes)
+    rows = [ManifestRow(id=rec.id, labels=LabelVector(task, labels[i]),
+                        fold=int(folds[i]))
+            for i, rec in enumerate(records)]
+    manifest = DatasetManifest(
+        name=name or f"synthetic:{n_classes}x{'-'.join(map(str, counts))}",
+        fs=fs, task=task, rows=rows)
+    for rec, row in zip(records, manifest.rows):
+        rec.labels = row.labels
+    return manifest, records
+
+
+def oracle_generate_imbalanced_binary(
+    train_pos: int, train_neg: int, test_pos: int, test_neg: int, seed: int, *,
+    fs: float = 500.0, length: int = 2500, noise: float = 0.05,
+    signature_amp: float = 0.35, name: str = "synthetic:pe-shaped",
+) -> tuple[DatasetManifest, list[EcgRecord]]:
+    """Binary dataset with a fixed held-out test partition.
+
+    Training records are stratified over folds 1..9 (so fold 9 can serve as
+    validation); all test records carry fold 10.
+    """
+    task = TaskSpec(kind=TaskKind.BINARY, classes=("positive",))
+    train_classes = np.concatenate([np.zeros(train_neg, dtype=np.int64),
+                                    np.ones(train_pos, dtype=np.int64)])
+    test_classes = np.concatenate([np.zeros(test_neg, dtype=np.int64),
+                                   np.ones(test_pos, dtype=np.int64)])
+    all_classes = np.concatenate([train_classes, test_classes])
+    labels = _label_rows(all_classes, task, seed, 0.0)
+    records = [_oracle_make_record(i, labels[i], seed, fs, length, noise,
+                                   signature_amp, "pe")
+               for i in range(len(all_classes))]
+
+    n_train = len(train_classes)
+    train_folds = stratified_kfold(labels[:n_train], k=9, seed=seed,
+                                   class_names=task.classes)
+    folds = np.concatenate([train_folds,
+                            np.full(len(test_classes), 10, dtype=np.int64)])
+    rows = [ManifestRow(id=rec.id, labels=LabelVector(task, labels[i]),
+                        fold=int(folds[i]))
+            for i, rec in enumerate(records)]
+    manifest = DatasetManifest(name=name, fs=fs, task=task, rows=rows)
+    for rec, row in zip(records, manifest.rows):
+        rec.labels = row.labels
+    return manifest, records

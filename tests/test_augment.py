@@ -96,6 +96,33 @@ class TestConfigValidation:
         with pytest.raises(AugmentError, match="empty range"):
             AdditiveConfig(rel_amplitude_range=(0.3, 0.1))
 
+    @pytest.mark.parametrize("fraction_range", [(-0.5, -0.1), (-0.01, 0.1)])
+    def test_negative_drop_fraction_rejected(self, fraction_range):
+        with pytest.raises(AugmentError, match="random_drop.fraction_range"):
+            RandomDropConfig(p=1.0, fraction_range=fraction_range)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda r: RandomDropConfig(fraction_range=r), "random_drop.fraction_range"),
+        (lambda r: LeadDropConfig(leads_range=r), "lead_drop.leads_range"),
+        (lambda r: AdditiveConfig(rel_amplitude_range=r), "rel_amplitude_range"),
+        (lambda r: AdditiveConfig(freq_range_hz=r), "freq_range_hz"),
+    ])
+    @pytest.mark.parametrize("bad", [(0.1,), (0.1, 0.2, 0.3), 0.1, None])
+    def test_range_must_be_a_pair(self, make, field, bad):
+        with pytest.raises(AugmentError, match=f"{field}: expected a"):
+            make(bad)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda r: RandomDropConfig(p=1.0, fraction_range=r),
+         "random_drop.fraction_range"),
+        (lambda r: AdditiveConfig(freq_range_hz=r), "freq_range_hz"),
+    ])
+    @pytest.mark.parametrize("bad", [(float("nan"), 0.1), (0.05, float("nan")),
+                                     (0.05, float("inf"))])
+    def test_range_must_be_finite(self, make, field, bad):
+        with pytest.raises(AugmentError, match=f"{field}: range must be finite"):
+            make(bad)
+
 
 class TestComposition:
     def test_all_probabilities_zero_is_identity(self):

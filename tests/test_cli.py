@@ -162,6 +162,15 @@ class TestTrain:
         snap = json.loads((run_dir / "config.json").read_text())
         assert snap["optimizer"]["lr"] == 0.0005
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lr_rejected_before_loading(self, tmp_path, capsys, value):
+        run_dir = tmp_path / "run"
+        rc = cli("train", "--data", tmp_path / "no-such-dataset", "--out", run_dir,
+                 "--lr", value)
+        assert rc == 2
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, dataset):
         cfg = write_config(tmp_path, dataset)
         data = json.loads(cfg.read_text())

@@ -17,7 +17,8 @@ from ecglearn.dataio.synthetic import class_frequency
 from ecglearn.augment import AugmentConfig
 from ecglearn.errors import DataError, SplitError
 from ecglearn.signal import EcgRecord, FilterSpec, design_butterworth_bandpass
-from oracles import oracle_bandpass
+from oracles import (oracle_bandpass, oracle_generate_imbalanced_binary,
+                     oracle_generate_synthetic_dataset)
 
 
 # malformed headers for a record "r" of 10 samples at 500 Hz: the whole header
@@ -245,6 +246,59 @@ class TestSyntheticGeneration:
         assert class_frequency(2) == 10.0
 
 
+def assert_same_dataset(got, want):
+    """Manifest, rows and records equal byte for byte; each record shares its
+    row's LabelVector object."""
+    (m, recs), (om, orecs) = got, want
+    assert (m.name, m.fs, m.task) == (om.name, om.fs, om.task)
+    assert len(m.rows) == len(om.rows) == len(recs) == len(orecs)
+    for row, orow, rec, orec in zip(m.rows, om.rows, recs, orecs):
+        assert (row.id, row.fold, row.path) == (orow.id, orow.fold, orow.path)
+        assert row.labels.values.tobytes() == orow.labels.values.tobytes()
+        assert row.labels.values.dtype == orow.labels.values.dtype
+        assert (rec.id, rec.fs) == (orec.id, orec.fs) and rec.id == row.id
+        assert rec.signal.tobytes() == orec.signal.tobytes()
+        assert rec.labels is row.labels
+    assert m.folds().tobytes() == om.folds().tobytes()
+
+
+class TestSyntheticMatchesOracle:
+    """Both generators build what they built before sharing one assembly."""
+
+    @pytest.mark.parametrize("seed", [0, 31])
+    @pytest.mark.parametrize("args, kwargs", [
+        ((2, 6, TaskKind.MULTICLASS), dict(n_folds=3)),
+        ((3, [4, 7, 2], TaskKind.MULTILABEL),
+         dict(extra_label_p=0.3, n_folds=2, fs=250.0, name="named")),
+        ((2, [9, 3], "binary"), dict(n_folds=3, id_prefix="b", noise=0.2)),
+    ])
+    def test_generate_synthetic_dataset(self, seed, args, kwargs):
+        kwargs = dict(kwargs, length=300)
+        assert_same_dataset(
+            generate_synthetic_dataset(*args, seed=seed, **kwargs),
+            oracle_generate_synthetic_dataset(*args, seed=seed, **kwargs))
+
+    @pytest.mark.parametrize("seed", [0, 31])
+    @pytest.mark.parametrize("counts", [(9, 14, 2, 4), (11, 9, 0, 3)])
+    def test_generate_imbalanced_binary(self, seed, counts):
+        kwargs = dict(length=250, signature_amp=0.5, name="pe-test")
+        assert_same_dataset(
+            generate_imbalanced_binary(*counts, seed=seed, **kwargs),
+            oracle_generate_imbalanced_binary(*counts, seed=seed, **kwargs))
+
+    def test_default_name_and_save_gain(self, tmp_path):
+        got = generate_synthetic_dataset(2, 3, TaskKind.MULTICLASS, seed=4,
+                                         length=100, n_folds=3)
+        assert_same_dataset(got, oracle_generate_synthetic_dataset(
+            2, 3, TaskKind.MULTICLASS, seed=4, length=100, n_folds=3))
+        assert got[0].name == "synthetic:2x3-3"
+        save_dataset(got[0], got[1], tmp_path / "a")
+        save_dataset(got[0], got[1], tmp_path / "b", gain=200.0)
+        for name in ("syn00000.dat", "syn00000.hea"):
+            assert (tmp_path / "a" / "records" / name).read_bytes() == \
+                (tmp_path / "b" / "records" / name).read_bytes()
+
+
 class TestSaveLoadRoundtrip:
     def test_dataset_directory_roundtrip(self, tmp_path):
         m, recs = generate_synthetic_dataset(2, 8, TaskKind.MULTICLASS, seed=13,
@@ -350,6 +404,23 @@ class TestBatchLoader:
         loader = BatchLoader([rec], task, batch_size=1, segment_len=100)
         x, y = next(iter(loader.batches()))
         assert x.shape == (1, 12, 100)
+
+    @pytest.mark.parametrize("segment_len", [0, -5])
+    def test_segment_len_below_one_rejected(self, segment_len):
+        m, recs = generate_synthetic_dataset(2, 2, TaskKind.MULTICLASS,
+                                             seed=17, length=100, n_folds=2)
+        with pytest.raises(DataError, match="segment_len"):
+            BatchLoader(recs, m.task, batch_size=2, segment_len=segment_len)
+
+    @pytest.mark.parametrize("normalization", ["zcore", "", None])
+    def test_unknown_normalization_rejected(self, normalization):
+        m, recs = generate_synthetic_dataset(2, 2, TaskKind.MULTICLASS,
+                                             seed=17, length=100, n_folds=2)
+        with pytest.raises(DataError, match="unknown normalization") as err:
+            BatchLoader(recs, m.task, batch_size=2, segment_len=50,
+                        normalization=normalization)
+        for name in ("minmax", "zscore", "rscale", "logscale", "l2"):
+            assert name in str(err.value)
 
     def test_empty_split_rejected(self):
         task = TaskSpec(kind=TaskKind.BINARY, classes=("positive",))

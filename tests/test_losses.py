@@ -149,3 +149,14 @@ class TestAdam:
     def test_config_validation(self):
         with pytest.raises(OptimizerError, match="learning rate"):
             OptimizerConfig(lr=0.0)
+
+    @pytest.mark.parametrize("field", ["lr", "eps", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(OptimizerError, match=f"{field} must be finite"):
+            OptimizerConfig(**{field: value})
+
+    @pytest.mark.parametrize("betas", [(0.9,), (0.9, 0.99, 0.999), 0.9, ()])
+    def test_betas_must_be_a_pair(self, betas):
+        with pytest.raises(OptimizerError, match="betas must be a pair"):
+            OptimizerConfig(betas=betas)

@@ -11,7 +11,9 @@ from ecglearn.signal import (EcgRecord, FilterSpec, NormalizationMethod,
                              extract_segment_at, filtfilt_sos, normalize,
                              normalize_array, pad_or_truncate, segment_extract,
                              sosfilt)
-from oracles import oracle_bandpass, oracle_filtfilt, oracle_sosfilt
+from oracles import (oracle_bandpass, oracle_extract_segment_at, oracle_filtfilt,
+                     oracle_normalize_array, oracle_pad_or_truncate,
+                     oracle_segment_extract, oracle_sosfilt)
 
 
 # malformed ``sections`` for sosfilt and filtfilt_sos, and what the
@@ -413,12 +415,112 @@ class TestNormalization:
         # median 50, IQR 50: value 75 maps to 0.5
         assert abs(out[0, 75] - 0.5) < 1e-12
 
+    @pytest.mark.parametrize("method", ["zcore", "", "ZSCORE", None])
+    def test_unknown_method_names_the_five(self, method):
+        rec = make_record(np.zeros((12, 8)))
+        for call in (lambda: normalize_array(rec.signal, method),
+                     lambda: normalize(rec, method)):
+            with pytest.raises(SignalError, match="unknown normalization") as err:
+                call()
+            for name in ("minmax", "zscore", "rscale", "logscale", "l2"):
+                assert name in str(err.value)
+
     def test_record_level_api(self):
         rng = np.random.default_rng(12)
         rec = make_record(rng.normal(size=(12, 128)))
         out = normalize(rec, NormalizationMethod.ZSCORE)
         assert out.signal.shape == (12, 128)
         assert not np.array_equal(out.signal, rec.signal)
+
+
+def degenerate_leads(n=400, seed=13):
+    """[12, n] leads covering every guarded denominator, one kind per lead.
+
+    Constant, all-zero, half-zero, binary, zero-IQR (constant but for a few
+    spikes), 1e-9-scale (every denominator below the guard) and 1e-4-scale
+    (every denominator above it) leads sit beside ordinary noisy ones.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(12, n)) * 2.0 + 0.3
+    x[0] = 7.5
+    x[1] = 0.0
+    x[2, : n // 2] = 0.0
+    x[3] = rng.integers(0, 2, size=n)
+    x[4] = -1.25
+    x[4, [5, n // 3, n - 2]] = [9.0, -4.0, 3.0]
+    x[5] = rng.normal(size=n) * 1e-9
+    x[6] = rng.normal(size=n) * 1e-4
+    x[7] = -x[7]
+    return x
+
+
+class TestRecordPathMatchesOracle:
+    """Byte identity with the record path from before each step was written
+    once (``oracles.py``): one guarded ratio, one padding copy, one cut."""
+
+    @pytest.mark.parametrize("method", list(NormalizationMethod))
+    @pytest.mark.parametrize("case", ["mixed", "constant", "zero", "zero-iqr",
+                                      "tiny", "binary"])
+    def test_normalize_array(self, method, case):
+        x = degenerate_leads()
+        rows = {"mixed": slice(None), "constant": [0] * 12, "zero": [1] * 12,
+                "zero-iqr": [4] * 12, "tiny": [5] * 12, "binary": [3] * 12}
+        x = np.ascontiguousarray(x[rows[case]])
+        got = normalize_array(x, method)
+        want = oracle_normalize_array(x, method)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert normalize_array(x, method.value).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method", list(NormalizationMethod))
+    def test_normalize_array_takes_views_and_integers(self, method):
+        x = degenerate_leads(n=301)
+        view = x[:, 7:250:3]
+        assert normalize_array(view, method).tobytes() == \
+            oracle_normalize_array(view, method).tobytes()
+        ints = np.rint(x * 10).astype(np.int64)
+        assert normalize_array(ints, method).tobytes() == \
+            oracle_normalize_array(ints, method).tobytes()
+
+    @pytest.mark.parametrize("target", [1, 150, 399, 400, 401, 1024])
+    def test_pad_or_truncate(self, target):
+        rec = EcgRecord(degenerate_leads(), fs=250.0, id="p", labels=None)
+        got = pad_or_truncate(rec, target)
+        want = oracle_pad_or_truncate(rec, target)
+        assert got.signal.shape == want.signal.shape == (12, target)
+        assert got.signal.tobytes() == want.signal.tobytes()
+        assert (got.fs, got.id, got.labels) == (want.fs, want.id, want.labels)
+        assert got.signal.flags.c_contiguous
+        assert not np.shares_memory(got.signal, rec.signal)
+
+    @pytest.mark.parametrize("l", [1, 64, 399, 400])
+    def test_segment_extract(self, l):
+        rec = make_record(degenerate_leads())
+        gen, oracle_gen = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(20):
+            got = segment_extract(rec, l, gen)
+            want = oracle_segment_extract(rec, l, oracle_gen)
+            assert got.signal.tobytes() == want.signal.tobytes()
+            assert got.signal.flags.c_contiguous
+            assert not np.shares_memory(got.signal, rec.signal)
+        assert gen.bit_generator.state == oracle_gen.bit_generator.state
+
+    @pytest.mark.parametrize("s, l", [(0, 400), (0, 1), (399, 1), (37, 200)])
+    def test_extract_segment_at(self, s, l):
+        rec = make_record(degenerate_leads())
+        got = extract_segment_at(rec, s, l)
+        want = oracle_extract_segment_at(rec, s, l)
+        assert got.signal.tobytes() == want.signal.tobytes()
+        assert not np.shares_memory(got.signal, rec.signal)
+
+    @pytest.mark.parametrize("s, l", [(-1, 10), (0, 0), (395, 10), (0, 401)])
+    def test_invalid_cut_raises_as_before(self, s, l):
+        rec = make_record(degenerate_leads())
+        with pytest.raises(SignalError) as want:
+            oracle_extract_segment_at(rec, s, l)
+        with pytest.raises(SignalError) as got:
+            extract_segment_at(rec, s, l)
+        assert str(got.value) == str(want.value)
 
 
 class TestEcgRecordValidation:
