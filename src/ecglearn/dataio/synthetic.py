@@ -116,6 +116,8 @@ def generate_synthetic_dataset(
     if len(counts) != n_classes:
         raise DataError(f"n_per_class has {len(counts)} entries for "
                         f"{n_classes} classes")
+    if min(counts, default=0) < 0:
+        raise DataError(f"n_per_class must be >= 0, got {counts}")
     if task_kind is TaskKind.BINARY:
         if n_classes != 2:
             raise DataError("binary generation uses 2 classes (negative, positive)")
@@ -143,6 +145,10 @@ def generate_imbalanced_binary(
     Training records are stratified over folds 1..9 (so fold 9 can serve as
     validation); all test records carry fold 10.
     """
+    for arg, count in (("train_pos", train_pos), ("train_neg", train_neg),
+                       ("test_pos", test_pos), ("test_neg", test_neg)):
+        if count < 0:
+            raise DataError(f"{arg} must be >= 0, got {count}")
     task = TaskSpec(kind=TaskKind.BINARY, classes=("positive",))
     all_classes = np.repeat([0, 1, 0, 1], [train_neg, train_pos, test_neg, test_pos])
     labels = _label_rows(all_classes, task, seed, 0.0)

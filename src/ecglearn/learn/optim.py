@@ -36,6 +36,11 @@ class OptimizerConfig:
                 raise OptimizerError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr <= 0:
             raise OptimizerError(f"learning rate must be positive, got {self.lr}")
+        # eps = 0 makes every zero-gradient entry's update 0/0
+        if self.eps <= 0:
+            raise OptimizerError(f"eps must be positive, got {self.eps}")
+        if self.weight_decay < 0:
+            raise OptimizerError(f"weight_decay must be >= 0, got {self.weight_decay}")
         try:
             beta1, beta2 = self.betas
         except (TypeError, ValueError):
@@ -51,11 +56,13 @@ class Adam:
 
     Parameters with grad=None (never reached by backward) are left untouched.
     A non-finite gradient aborts the step naming the offending parameter.
+    The settings are checked as ``OptimizerConfig`` checks them.
     """
 
     def __init__(self, params: dict[str, Parameter], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
+        OptimizerConfig(lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
         self.params = dict(params)
         self.lr = lr
         self.beta1, self.beta2 = betas

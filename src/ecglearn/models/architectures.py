@@ -273,6 +273,8 @@ class Model:
             p.name = name
 
     def forward(self, x) -> Tensor:
+        """Logits for x [B, 12, L]. An array x is wrapped, not copied, and
+        backward reads it again, so leave it unchanged until backward is done."""
         if not isinstance(x, Tensor):
             x = Tensor(x)
         if x.ndim != 3 or x.shape[1] != N_LEADS:

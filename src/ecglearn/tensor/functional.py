@@ -8,7 +8,12 @@ scatter sums the window gradients back. That scatter works channels last:
 a convolution's backward multiplies by the weight matrix with its columns
 permuted to (KH, KW, C), so each kernel offset's gradient slab is contiguous,
 and the scatter's crop transposes the sum back to [B, C, H, W] in one copy.
-1-d ops run the 2-d kernels on height-1 views inside that one node. Batch
+A window op's backward closure keeps its input array and shapes, never a
+derived window array: a convolution rebuilds its im2col matrix (and a
+depthwise convolution its padded windows) from the input in backward, with
+the same code and so the same bytes, rather than holding them from forward
+to backward. 1-d ops run the 2-d kernels on height-1 views inside that
+one node. Batch
 and layer normalization are one node, ``_normalize``, over different axes;
 ``_moments`` reproduces numpy's mean and variance arithmetic and hands x - mu
 on, so it is computed once. relu is ``fmax(x, 0)`` plus an in-place +0,
@@ -189,10 +194,24 @@ def _conv_node(out: np.ndarray, x: Tensor, w: Tensor, b: Tensor | None,
 _SLAB_KW = 5
 
 
+def _im2col(win: np.ndarray) -> np.ndarray:
+    """The [B*Ho*Wo, C*KH*KW] im2col matrix of windows [B, C, Ho, Wo, KH, KW]."""
+    B, C, Ho, Wo, KH, KW = win.shape
+    if KW <= _SLAB_KW:
+        cols = np.empty((B, Ho, Wo, C, KH, KW), dtype=win.dtype)
+        for kh, kw in np.ndindex(KH, KW):
+            cols[..., kh, kw] = win[..., kh, kw].transpose(0, 2, 3, 1)
+    else:
+        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
+    return cols.reshape(B * Ho * Wo, C * KH * KW)
+
+
 def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride, padding, op: str,
           err: str) -> Tensor:
     """im2col cross-correlation of [B, C, H, W] with [O, C, KH, KW] (or of
-    their 1-d, height-1 forms)."""
+    their 1-d, height-1 forms). The im2col matrix lives only inside the
+    forward GEMM and inside backward's dw GEMM: backward rebuilds it from
+    the input, so the graph holds no copy of it between the two."""
     xd, wd = (t.data if t.ndim == 4 else t.data[:, :, None] for t in (x, w))
     B, C, _, _ = xd.shape
     O, Cw, KH, KW = wd.shape
@@ -200,19 +219,15 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride, padding, op: str,
         raise ShapeError(f"{op}: input channels {C} != weight channels {Cw}")
     win, scatter = _windows(xd, (KH, KW), stride, padding, op, err)
     Ho, Wo = win.shape[2], win.shape[3]
-    if KW <= _SLAB_KW:
-        cols = np.empty((B, Ho, Wo, C, KH, KW), dtype=xd.dtype)
-        for kh, kw in np.ndindex(KH, KW):
-            cols[..., kh, kw] = win[..., kh, kw].transpose(0, 2, 3, 1)
-    else:
-        cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5))
-    cols = cols.reshape(B * Ho * Wo, C * KH * KW)
     wmat = wd.reshape(O, C * KH * KW)
-    out = np.ascontiguousarray((cols @ wmat.T).reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2))
+    out = np.ascontiguousarray(
+        (_im2col(win) @ wmat.T).reshape(B, Ho, Wo, O).transpose(0, 3, 1, 2))
 
     def backward(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * Ho * Wo, O)
+        cols = _im2col(_windows(xd, (KH, KW), stride, padding, op, err)[0])
         dw = (g2.T @ cols).reshape(O, C, KH, KW)
+        del cols                                       # before dcols exists
         if not x.requires_grad:
             return None, dw
         # wmat's columns permuted to (KH, KW, C) give channels-last dcols
@@ -227,10 +242,11 @@ def _avgpool(x: Tensor, kernel: tuple, stride: tuple, op: str, err: str) -> Tens
     xd = x.data if x.ndim == 4 else x.data[:, :, None]
     win, scatter = _windows(xd, kernel, stride, (0, 0), op, err)
     data = np.ascontiguousarray(win.mean(axis=(4, 5)))
+    shape = win.shape
 
     def backward(g):
         share = g / (kernel[0] * kernel[1])
-        dwin = np.broadcast_to(share[..., None, None], win.shape)
+        dwin = np.broadcast_to(share[..., None, None], shape)
         return (scatter(dwin.transpose(0, 2, 3, 4, 5, 1)),)
 
     return _node(data, (x,), backward)
@@ -319,16 +335,19 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     Cw, M, KH, KW = w.shape
     if C != Cw:
         raise ShapeError(f"depthwise_conv2d: input channels {C} != weight channels {Cw}")
-    win, scatter = _windows(
-        x.data, (KH, KW), stride, padding, "depthwise_conv2d",
-        "depthwise_conv2d: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
+    def windows():
+        return _windows(
+            x.data, (KH, KW), stride, padding, "depthwise_conv2d",
+            "depthwise_conv2d: kernel ({kh},{kw}) larger than padded input ({hp},{wp})")
+
+    win, scatter = windows()
     Ho, Wo = win.shape[2], win.shape[3]
     out = np.einsum("bchwuv,cmuv->bcmhw", win, w.data, optimize=True)
     out = np.ascontiguousarray(out.reshape(B, C * M, Ho, Wo))
 
     def backward(g):
         g5 = g.reshape(B, C, M, Ho, Wo)
-        dw = np.einsum("bchwuv,bcmhw->cmuv", win, g5, optimize=True)
+        dw = np.einsum("bchwuv,bcmhw->cmuv", windows()[0], g5, optimize=True)
         dwin = np.einsum("bcmhw,cmuv->bchwuv", g5, w.data, optimize=True)
         return scatter(dwin.transpose(0, 2, 3, 4, 5, 1)), dw
 

@@ -13,7 +13,11 @@ grads (each pass adds a full dLoss/dLeaf), matching the usual deep-learning
 convention. Intermediate nodes never retain grads.
 
 Tensors are treated as immutable once created by an op; only optimizers
-mutate Parameter buffers in place, between graph constructions.
+mutate Parameter buffers in place, between graph constructions. The same
+holds for arrays handed to ``Tensor(...)`` or ``Model.forward``: a contiguous
+float array is wrapped, not copied, and a backward pass may read it again
+(a convolution rebuilds its im2col matrix from its input), so the caller
+must not change it until the last ``backward()`` on that graph.
 """
 
 from __future__ import annotations

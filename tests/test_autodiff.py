@@ -7,7 +7,8 @@ from ecglearn.dataio import TaskKind, TaskSpec
 from ecglearn.errors import AutodiffError
 from ecglearn.learn import focal_loss
 from ecglearn.models import ModelSpec, build
-from ecglearn.tensor import (Tensor, functional as F, gradcheck, no_grad)
+from ecglearn.tensor import (Tensor, functional as F, gradcheck, no_grad,
+                             param_gradcheck)
 from oracles import (oracle_avgpool1d, oracle_avgpool1d_grad,
                      oracle_avgpool2d, oracle_avgpool2d_grad, oracle_batchnorm,
                      oracle_conv1d, oracle_conv1d_grads, oracle_conv2d,
@@ -140,6 +141,24 @@ class TestGradcheckPrimitives:
         mixd = rng.normal(size=(2, 4, 2, 5))
         self._check(lambda x: (F.depthwise_conv2d(x, wd, padding=(1, 0)) * mixd).sum(),
                     (2, 2, 1, 5), seed)
+
+    @pytest.mark.parametrize("op, shapes, kw", [
+        (F.conv1d, ((2, 3, 11), (4, 3, 3), (4,)), {"stride": 2, "padding": 1}),
+        (F.conv1d, ((2, 3, 15), (4, 3, 7), (4,)), {"stride": 2, "padding": 3}),
+        (F.conv2d, ((2, 2, 3, 6), (3, 2, 2, 3), (3,)),
+         {"stride": (1, 2), "padding": (1, 1)}),
+        (F.depthwise_conv2d, ((2, 2, 2, 5), (2, 2, 2, 3), (4,)),
+         {"stride": (1, 2), "padding": (1, 1)})])
+    def test_padded_window_ops_every_parameter(self, op, shapes, kw):
+        # backward rebuilds the windows from the input; every coordinate of
+        # the input, weight and bias must still match finite differences
+        rng = np.random.default_rng(sum(map(len, shapes)) + shapes[1][-1])
+        params = {n: T64(rng.normal(size=s), requires_grad=True)
+                  for n, s in zip(("x", "w", "b"), shapes)}
+        mix = rng.normal(size=op(*params.values(), **kw).shape)
+        report = param_gradcheck(lambda: (op(*params.values(), **kw) * mix).sum(),
+                                 params, samples_per_param=None)
+        assert report.passed, report.per_param
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_pools(self, seed):

@@ -245,6 +245,17 @@ class TestSyntheticGeneration:
         assert class_frequency(0) == 4.0
         assert class_frequency(2) == 10.0
 
+    @pytest.mark.parametrize("n_per_class", [[3, -1], -1])
+    def test_negative_class_count_is_data_error(self, n_per_class):
+        with pytest.raises(DataError, match=r"n_per_class must be >= 0"):
+            generate_synthetic_dataset(2, n_per_class, TaskKind.MULTICLASS, seed=0)
+
+    @pytest.mark.parametrize("arg", ["train_pos", "train_neg", "test_pos", "test_neg"])
+    def test_negative_pe_count_is_data_error(self, arg):
+        counts = {"train_pos": 3, "train_neg": 3, "test_pos": 1, "test_neg": 1, arg: -1}
+        with pytest.raises(DataError, match=rf"^{arg} must be >= 0, got -1$"):
+            generate_imbalanced_binary(**counts, seed=0)
+
 
 def assert_same_dataset(got, want):
     """Manifest, rows and records equal byte for byte; each record shares its

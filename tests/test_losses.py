@@ -160,3 +160,25 @@ class TestAdam:
     def test_betas_must_be_a_pair(self, betas):
         with pytest.raises(OptimizerError, match="betas must be a pair"):
             OptimizerConfig(betas=betas)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("eps", 0.0, "eps must be positive"), ("eps", -1e-8, "eps must be positive"),
+        ("weight_decay", -1.0, "weight_decay must be >= 0")])
+    def test_eps_and_weight_decay_ranges(self, field, value, message):
+        with pytest.raises(OptimizerError, match=message):
+            OptimizerConfig(**{field: value})
+        p = Parameter(np.ones(3, dtype=np.float32), name="w")
+        with pytest.raises(OptimizerError, match=message):
+            Adam({"w": p}, lr=2e-4, **{field: value})
+
+    def test_zero_gradient_entries_stay_finite(self):
+        # with eps = 0 this step left [nan, 0.9998, nan]: 0/0 where g == 0
+        cfg = OptimizerConfig()
+        p = Parameter(np.ones(3, dtype=np.float32), name="w")
+        opt = Adam({"w": p}, lr=cfg.lr, betas=cfg.betas, eps=cfg.eps,
+                   weight_decay=cfg.weight_decay)
+        p.grad = np.array([0.0, 1.0, 0.0], dtype=np.float32)
+        opt.step()
+        assert np.isfinite(p.data).all()
+        assert p.data[0] == p.data[2] == 1.0
+        assert abs(float(p.data[1]) - 0.9998) < 1e-6

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,95 @@ class TestGraphSize:
         model.train_mode()
         loss = focal_loss(model.forward(x), y)
         assert len(loss._toposort()) == nodes
+
+
+def _buffer(a):
+    """The allocation an array view (or a strided window of one) points into."""
+    while getattr(a, "base", None) is not None:
+        a = a.base
+    return a
+
+
+def closure_bytes(loss) -> int:
+    """Bytes of the arrays the backward closures of ``loss``'s graph hold on
+    top of the graph's own tensors: every ndarray reachable from a closure's
+    cells (through nested closures, tuples and lists), counted once per
+    underlying buffer, skipping buffers that some node or node parent
+    already holds as its ``.data``."""
+    nodes = loss._toposort()
+    graph = {id(_buffer(t.data)) for n in nodes for t in (n, *n._parents)}
+    held, seen = {}, set()
+    stack = [n._backward for n in nodes if n._backward is not None]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            buf = _buffer(obj)
+            if id(buf) not in graph:
+                held[id(buf)] = buf.nbytes
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+    return sum(held.values())
+
+
+class TestGraphRetainedBytes:
+    """Bytes the backward closures of one focal-loss training step keep alive
+    besides the graph's tensors, pinned so that a closure that starts keeping
+    a derived array (an im2col matrix, a padded copy) fails here. Window ops
+    rebuild their windows in backward; what remains are normalized
+    activations, pool argmaxes, elu slopes and dropout masks."""
+
+    @pytest.mark.parametrize("arch, hp, nbytes", [
+        ("ResNet18_1D", {"base_width": 8}, 698_736),
+        ("CRNN_GRU", {"base_width": 8, "hidden_size": 16}, 781_168),
+        ("EEGNet2D", {}, 3_877_040)])
+    def test_closure_bytes_per_training_step(self, arch, hp, nbytes):
+        model = build(ModelSpec(arch, TASK1, hp), seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2, 12, 2048)).astype(np.float32)
+        y = np.array([[1.0], [0.0]], dtype=np.float32)
+        model.train_mode()
+        loss = focal_loss(model.forward(x), y)
+        assert closure_bytes(loss) == nbytes
+
+    def test_walk_counts_a_derived_buffer_once(self):
+        x = Tensor(np.ones((4, 8)), requires_grad=True)
+        kept = x.data * 2.0                    # derived: counted once
+        half, row = kept[::2], x.data[1:]      # a view of it; a view of x
+
+        def inner(g):
+            return g * half.sum() * row.sum()
+
+        y = Tensor._from_op(x.data * kept, (x,), lambda g: (inner(g) * kept,))
+        assert closure_bytes(y.sum()) == kept.nbytes
+
+
+class TestRepeatedBackward:
+    """Backward rebuilds each convolution's im2col matrix from the input the
+    node holds, so a second backward over the same graph must read exactly
+    the bytes the first read, the caller's batch included (the stem
+    convolution's input is that array, uncopied)."""
+
+    def test_second_backward_adds_the_same_grads(self):
+        model = build(ModelSpec("ResNet18_1D", TASK1, {"base_width": 8}), seed=0)
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(2, 12, 2048)).astype(np.float32)
+        x_before = x.copy()
+        y = np.array([[1.0], [0.0]], dtype=np.float32)
+        model.train_mode()
+        loss = focal_loss(model.forward(x), y)
+        model.zero_grad()
+        loss.backward()
+        first = {n: p.grad.copy() for n, p in model.named_parameters().items()}
+        loss.backward()
+        assert x.tobytes() == x_before.tobytes()
+        assert "backbone.resnet.conv1.weight" in first
+        for name, p in model.named_parameters().items():
+            assert p.grad.tobytes() == (first[name] + first[name]).tobytes(), name
 
 
 BLAS_STEP = """
