@@ -9,7 +9,6 @@ All outputs go to run directories; input datasets are never modified.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -19,10 +18,8 @@ import numpy as np
 from . import __version__
 from .config import (RunConfig, _read_json, apply_override, config_from_dict,
                      config_to_dict)
-from .dataio import (DatasetManifest, LabelVector, ManifestRow, TaskKind,
-                     TaskSpec, generate_imbalanced_binary,
-                     generate_synthetic_dataset, load_wfdb_record,
-                     save_dataset, stratified_kfold)
+from .dataio import (DatasetManifest, TaskKind, generate_imbalanced_binary,
+                     generate_synthetic_dataset, import_dataset, save_dataset)
 from .errors import (AugmentError, ConfigError, DataError, EcglearnError,
                      ModelError, SignalError, SplitError)
 from .run import run_evaluate, run_finetune, run_report, run_sweep, run_train
@@ -72,75 +69,17 @@ def _cmd_prepare(args) -> int:
             args.classes, per_class, TaskKind(args.task), seed=args.seed,
             length=args.length, signature_amp=args.signature_amp)
     elif args.import_dir:
-        manifest, records = _import_directory(args)
+        if args.labels is None:
+            raise ConfigError("--import-dir needs --labels (the label CSV)")
+        manifest, records = import_dataset(
+            args.import_dir, args.labels, args.task, n_folds=args.folds,
+            seed=args.seed, name=args.name, log=_echo)
     else:
         raise ConfigError("choose --synthetic, --pe-shaped, or --import-dir")
     save_dataset(manifest, records, args.out)
     _print_dataset_summary(manifest)
     _echo(f"wrote {args.out}")
     return 0
-
-
-def _import_directory(args) -> tuple[DatasetManifest, list]:
-    """Build a dataset directory from existing record files plus a label CSV.
-
-    The CSV needs columns id and labels (pipe-joined class names); a fold
-    column is honored when present, otherwise folds are assigned by
-    stratified k-fold.
-    """
-    src = Path(args.import_dir)
-    labels_csv = Path(args.labels)
-    if not labels_csv.exists():
-        raise ConfigError(f"labels file not found: {labels_csv}")
-    with open(labels_csv, newline="") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        for required in ("id", "labels"):
-            if required not in fields:
-                raise DataError(f"labels csv is missing column {required!r}")
-        rows = list(reader)
-    folds = None
-    if "fold" in fields:
-        folds = []
-        for line_no, r in enumerate(rows, start=2):
-            try:
-                folds.append(int(r["fold"]))
-            except (TypeError, ValueError):
-                raise DataError(f"{labels_csv} line {line_no}: fold "
-                                f"{r['fold']!r} is not an integer") from None
-
-    class_names = sorted({name for r in rows for name in r["labels"].split("|")
-                          if name.strip()})
-    task = TaskSpec(kind=TaskKind(args.task), classes=tuple(class_names))
-
-    records, manifest_rows, bad = [], [], []
-    for r in rows:
-        header = src / f"{r['id']}.hea"
-        try:
-            rec = load_wfdb_record(header)
-            labels = LabelVector.decode(r["labels"], task)
-        except (DataError, SignalError) as e:
-            bad.append(f"{r['id']}: {e}")
-            continue
-        rec.labels = labels
-        records.append(rec)
-        manifest_rows.append((r, labels, rec))
-    if bad:
-        for line in bad:
-            _echo(f"malformed record {line}")
-        raise DataError(f"{len(bad)} malformed records (listed above)")
-    if not records:
-        raise DataError("no records imported")
-
-    if folds is None:
-        label_matrix = np.stack([lv.values for _, lv, _ in manifest_rows])
-        folds = stratified_kfold(label_matrix, k=args.folds, seed=args.seed,
-                                 class_names=task.classes).tolist()
-    out_rows = [ManifestRow(id=r["id"], labels=lv, fold=f)
-                for (r, lv, _), f in zip(manifest_rows, folds)]
-    fs = records[0].fs
-    manifest = DatasetManifest(name=args.name, fs=fs, task=task, rows=out_rows)
-    return manifest, records
 
 
 # ---------------------------------------------------------------------------

@@ -3,25 +3,26 @@
 On disk a dataset directory holds ``manifest.csv`` (columns id, path, labels,
 fold), ``meta.json`` (dataset name, sampling rate, task), and the referenced
 record files. Manifests can also live purely in memory (path=None rows) for
-generated data.
+generated data; ``import_dataset`` builds one from record files and a label CSV.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import ConfigError, DataError, SignalError
 from ..signal import EcgRecord
-from .labels import LabelVector, TaskSpec
+from .labels import LabelVector, TaskKind, TaskSpec
 from .records import DEFAULT_GAIN, load_wfdb_record, write_wfdb_record
 
 __all__ = ["ManifestRow", "DatasetManifest", "save_dataset", "load_manifest",
-           "load_records"]
+           "load_records", "import_dataset"]
 
 _CSV_COLUMNS = ["id", "path", "labels", "fold"]
 
@@ -86,13 +87,46 @@ def save_dataset(manifest: DatasetManifest, records: list[EcgRecord] | None,
 
     meta = {"name": manifest.name, "fs": manifest.fs,
             "task": manifest.task.to_dict()}
-    (directory / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    with open(directory / "manifest.csv", "w", newline="") as fh:
+    (directory / "meta.json").write_text(json.dumps(meta, indent=2) + "\n",
+                                         encoding="utf-8")
+    with open(directory / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
         for row in manifest.rows:
             writer.writerow([row.id, row.path or "", row.labels.encode(), row.fold])
     return directory
+
+
+def _read_csv(path: Path, required, name: str) -> list[dict]:
+    """Rows of a UTF-8 CSV table keyed by its header, any fold parsed to int.
+
+    A missing column, a short row, a non-integer fold or a non-UTF-8 byte is a
+    DataError naming ``name`` and the line.
+    """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_no = data.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{name} line {line_no}: not UTF-8 text") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    missing = [c for c in required if c not in (reader.fieldnames or [])]
+    if missing:
+        raise DataError(f"{name} is missing columns: {', '.join(missing)}")
+    rows = []
+    for row in reader:
+        where = f"{name} line {reader.line_num}"
+        short = [c for c in reader.fieldnames if row[c] is None]
+        if short:
+            raise DataError(f"{where}: row ends before {', '.join(short)}")
+        if "fold" in row:
+            try:
+                row["fold"] = int(row["fold"])
+            except ValueError:
+                raise DataError(f"{where}: fold {row['fold']!r} is not an "
+                                "integer") from None
+        rows.append(row)
+    return rows
 
 
 def load_manifest(directory: str | Path) -> DatasetManifest:
@@ -104,7 +138,7 @@ def load_manifest(directory: str | Path) -> DatasetManifest:
         raise DataError(f"{directory} is not a dataset directory "
                         "(needs meta.json and manifest.csv)")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
         if not isinstance(meta, dict):
             raise TypeError("not a JSON object")
         name, fs, task = meta["name"], float(meta["fs"]), TaskSpec.from_dict(meta["task"])
@@ -116,28 +150,13 @@ def load_manifest(directory: str | Path) -> DatasetManifest:
         raise DataError(f"{meta_path}: malformed ({e})") from None
 
     rows = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or [])]
-        if missing:
-            raise DataError(f"manifest.csv is missing columns: {', '.join(missing)}")
-        for line_no, rec in enumerate(reader, start=2):
-            short = [c for c in _CSV_COLUMNS if rec[c] is None]
-            if short:
-                raise DataError(f"manifest.csv line {line_no}: row ends before "
-                                f"{', '.join(short)}")
-            try:
-                fold = int(rec["fold"])
-            except ValueError:
-                raise DataError(
-                    f"manifest.csv line {line_no}: fold {rec['fold']!r} is not "
-                    "an integer") from None
-            path = rec["path"].strip() or None
-            if path is not None and not (directory / path).exists():
-                raise DataError(f"referenced file does not exist: {directory / path}")
-            rows.append(ManifestRow(
-                id=rec["id"], path=path,
-                labels=LabelVector.decode(rec["labels"], task), fold=fold))
+    for rec in _read_csv(csv_path, _CSV_COLUMNS, "manifest.csv"):
+        path = rec["path"].strip() or None
+        if path is not None and not (directory / path).exists():
+            raise DataError(f"referenced file does not exist: {directory / path}")
+        rows.append(ManifestRow(
+            id=rec["id"], path=path,
+            labels=LabelVector.decode(rec["labels"], task), fold=rec["fold"]))
     return DatasetManifest(name=name, fs=fs, task=task, rows=rows)
 
 
@@ -155,3 +174,53 @@ def load_records(manifest: DatasetManifest, directory: str | Path) -> list[EcgRe
         rec.id, rec.labels = row.id, row.labels
         records.append(rec)
     return records
+
+
+def import_dataset(source: str | Path, labels_csv: str | Path, kind: TaskKind | str,
+                   *, n_folds: int = 10, seed: int = 0, name: str = "imported",
+                   log=None) -> tuple[DatasetManifest, list[EcgRecord]]:
+    """Build a dataset from ``source/<id>.hea`` record files plus a label CSV.
+
+    The CSV has columns id, labels (pipe-joined class names) and optionally
+    fold; without it folds come from stratified ``n_folds``-fold. Unreadable
+    records and records whose fs differs from the first one's go to ``log``,
+    then one DataError counts them.
+    """
+    from .splits import stratified_kfold  # splits imports this module
+    source, labels_csv = Path(source), Path(labels_csv)
+    if not labels_csv.exists():
+        raise ConfigError(f"labels file not found: {labels_csv}")
+    rows = _read_csv(labels_csv, ("id", "labels"), str(labels_csv))
+    class_names = sorted({c for r in rows for c in r["labels"].split("|")
+                          if c.strip()})
+    task = TaskSpec(kind=TaskKind(kind), classes=tuple(class_names))
+
+    records, bad = [], []
+    for r in rows:
+        try:
+            rec = load_wfdb_record(source / f"{r['id']}.hea")
+            rec.labels = LabelVector.decode(r["labels"], task)
+        except (DataError, SignalError) as e:
+            bad.append(f"{r['id']}: {e}")
+            continue
+        if records and rec.fs != records[0].fs:
+            bad.append(f"{r['id']}: fs {rec.fs} != first record's fs {records[0].fs}")
+        records.append(rec)
+    for line in bad if log else ():
+        log(f"malformed record {line}")
+    if bad:
+        raise DataError(f"{len(bad)} malformed records" +
+                        (" (listed above)" if log else ": " + "; ".join(bad)))
+    if not records:
+        raise DataError("no records imported")
+
+    if "fold" in rows[0]:
+        folds = [r["fold"] for r in rows]
+    else:
+        folds = stratified_kfold(np.stack([rec.labels.values for rec in records]),
+                                 k=n_folds, seed=seed,
+                                 class_names=task.classes).tolist()
+    manifest_rows = [ManifestRow(id=r["id"], labels=rec.labels, fold=f)
+                     for r, rec, f in zip(rows, records, folds)]
+    return DatasetManifest(name=name, fs=records[0].fs, task=task,
+                           rows=manifest_rows), records

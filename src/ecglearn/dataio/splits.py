@@ -75,6 +75,8 @@ def stratified_kfold(label_matrix: np.ndarray, k: int = 10, seed: int = 0,
     disjoint single-label data this yields per-class fold counts that differ
     by at most one. Requires >= k positives per class.
     """
+    if k < 1:
+        raise SplitError(f"stratified k-fold needs k >= 1 folds, got {k}")
     labels = np.asarray(label_matrix)
     n, n_classes = labels.shape
     counts = labels.sum(axis=0)

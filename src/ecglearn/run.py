@@ -210,8 +210,8 @@ def run_sweep(base_cfg: RunConfig, grid: dict[str, list], log=None) -> Path:
             cfg = config_from_dict(RunConfig, data)
             run_dir = run_train(cfg, log=log)
             with open(run_dir / "history.csv", newline="") as fh:
-                history = list(csv.DictReader(fh))
-            best_val_f1 = max(float(r["val_f1"]) for r in history)
+                header, *history = csv.reader(fh)
+            best_val_f1 = max(float(r[header.index("val_f1")]) for r in history)
             test = json.loads((run_dir / "metrics.json").read_text())
             row.update(status="ok", val_f1=best_val_f1, test_f1=test["f1"])
         except EcglearnError as e:

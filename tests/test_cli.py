@@ -10,8 +10,10 @@ import pytest
 from ecglearn.cli import main
 from ecglearn.config import RunConfig, config_to_dict
 from ecglearn.transfer import save_checkpoint
-from test_dataio import (MALFORMED_HEADERS, MALFORMED_MANIFEST, MALFORMED_META,
-                         corrupt_manifest, corrupt_meta, write_malformed_record)
+from test_dataio import (MALFORMED_HEADERS, MALFORMED_LABELS_CSV,
+                         MALFORMED_MANIFEST, MALFORMED_META, corrupt_manifest,
+                         corrupt_meta, write_import_source,
+                         write_malformed_record)
 from test_transfer import (MALFORMED_CKPT_HEADERS, rewrite_header,
                            trained_small_model)
 
@@ -130,6 +132,39 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"labels.csv line 4: fold {fold!r} is not an integer" in err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LABELS_CSV))
+    def test_malformed_import_source_is_data_error(self, tmp_path, capsys, case):
+        labels = write_import_source(tmp_path / "raw", case)
+        rc = cli("prepare", "--out", tmp_path / "d", "--import-dir",
+                 tmp_path / "raw", "--labels", labels, "--task", "multilabel")
+        assert rc == 2
+        out, err = capsys.readouterr()
+        text = MALFORMED_LABELS_CSV[case][2]
+        # a CSV fault is the error itself; a bad record is listed on stdout
+        assert err.startswith("error: ")
+        assert (f"malformed record {text}" in out if case == "mixed-fs"
+                else text in err)
+        assert not (tmp_path / "d").exists()
+
+    def test_import_without_labels_is_config_error(self, tmp_path, capsys):
+        write_import_source(tmp_path / "raw")
+        rc = cli("prepare", "--out", tmp_path / "d", "--import-dir", tmp_path / "raw")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--labels" in err
+
+    @pytest.mark.parametrize("folds", [0, -1])
+    def test_import_fold_count_below_one_is_split_error(self, tmp_path, capsys,
+                                                        folds):
+        labels = write_import_source(tmp_path / "raw")
+        rc = cli("prepare", "--out", tmp_path / "d", "--import-dir",
+                 tmp_path / "raw", "--labels", labels, "--task", "multilabel",
+                 "--folds", folds)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"k >= 1 folds, got {folds}" in err
         assert not (tmp_path / "d").exists()
 
 

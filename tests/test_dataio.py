@@ -1,6 +1,7 @@
 """Record files, manifests, splits, synthetic generation, batch iteration."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from ecglearn.dataio import (BatchLoader, DatasetManifest, LabelVector,
                              ManifestRow, TaskKind, TaskSpec,
                              generate_imbalanced_binary,
-                             generate_synthetic_dataset, load_manifest,
+                             generate_synthetic_dataset, import_dataset,
+                             load_manifest,
                              load_records, load_wfdb_record, ptbxl_split,
                              signature_amplitude_estimate, save_dataset,
                              split_indices, stratified_kfold,
@@ -71,6 +73,7 @@ def corrupt_meta(directory, case):
 MALFORMED_MANIFEST = {
     "short-row": lambda row: "syn99999,records/syn00000.hea",
     "fold-not-integer": lambda row: row.rsplit(",", 1)[0] + ",x",
+    "not-utf8": lambda row: "\udcff" + row,  # a lone 0xff byte on disk
 }
 
 
@@ -79,8 +82,30 @@ def corrupt_manifest(directory, case):
     path = directory / "manifest.csv"
     lines = path.read_text().splitlines()
     lines[-1] = MALFORMED_MANIFEST[case](lines[-1])
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8",
+                    errors="surrogateescape")
     return len(lines)
+
+
+# faults in an import source (write_import_source): the label CSV's last row,
+# the fs of record rec3, and the text the failed import must report
+MALFORMED_LABELS_CSV = {
+    "short-row": ("rec5", 500.0, "labels.csv line 7: row ends before labels"),
+    "not-utf8": ("rec5,\udcff", 500.0, "labels.csv line 7: not UTF-8 text"),
+    "mixed-fs": ("rec5,b", 250.0, "rec3: fs 250.0 != first record's fs 500.0"),
+}
+
+
+def write_import_source(src, case=None):
+    """Records rec0..rec5 plus labels.csv (id,labels), faulted by ``case``."""
+    last_row, fs3, _ = MALFORMED_LABELS_CSV[case] if case else ("rec5,b", 500.0, "")
+    for i in range(6):
+        write_wfdb_record(src / f"rec{i}", np.full((12, 10), 0.01 * i),
+                          fs=fs3 if i == 3 else 500.0)
+    rows = ["id,labels", *(f"rec{i},{'ab'[i % 2]}" for i in range(5)), last_row]
+    (src / "labels.csv").write_text("\n".join(rows) + "\n", encoding="utf-8",
+                                    errors="surrogateescape")
+    return src / "labels.csv"
 
 
 class TestWfdbRecords:
@@ -183,6 +208,12 @@ class TestSplits:
         labels[9:, 1] = 1
         with pytest.raises(SplitError, match="class 0 has only 9"):
             stratified_kfold(labels, k=10, seed=0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_stratified_needs_one_fold(self, k):
+        labels = np.ones((4, 1), dtype=np.int8)
+        with pytest.raises(SplitError, match=rf"k >= 1 folds, got {k}"):
+            stratified_kfold(labels, k=k)
 
     def test_stratified_deterministic(self):
         rng = np.random.default_rng(5)
@@ -371,6 +402,27 @@ class TestSaveLoadRoundtrip:
         (tmp_path / "ds" / "records" / f"{recs[0].id}.hea").unlink()
         with pytest.raises(DataError, match="does not exist"):
             load_manifest(tmp_path / "ds")
+
+
+class TestImportDataset:
+    def test_records_labels_and_stratified_folds(self, tmp_path):
+        labels = write_import_source(tmp_path)
+        m, recs = import_dataset(tmp_path, labels, "multilabel", n_folds=2,
+                                 seed=1, name="raw")
+        assert (m.name, m.fs, m.task.classes) == ("raw", 500.0, ("a", "b"))
+        assert [r.id for r in m.rows] == [r.id for r in recs] == [
+            f"rec{i}" for i in range(6)]
+        assert sorted(set(m.folds().tolist())) == [1, 2]
+        assert np.array_equal(recs[4].signal,
+                              load_wfdb_record(tmp_path / "rec4.hea").signal)
+        assert [r.labels.encode() for r in m.rows] == ["a", "b"] * 3
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LABELS_CSV))
+    def test_malformed_source_is_data_error(self, tmp_path, case):
+        labels = write_import_source(tmp_path, case)
+        text = re.escape(MALFORMED_LABELS_CSV[case][2])
+        with pytest.raises(DataError, match=text):
+            import_dataset(tmp_path, labels, "multilabel")
 
 
 class TestBatchLoader:
