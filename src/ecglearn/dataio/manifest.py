@@ -47,9 +47,12 @@ class DatasetManifest:
     rows: list[ManifestRow] = field(default_factory=list)
 
     def __post_init__(self):
-        ids = [r.id for r in self.rows]
-        if len(set(ids)) != len(ids):
-            raise DataError("manifest record ids must be unique")
+        ids = set()
+        for r in self.rows:
+            if r.id in ids:
+                raise DataError(f"manifest record ids must be unique; {r.id!r} "
+                                "repeats")
+            ids.add(r.id)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -100,25 +103,30 @@ def save_dataset(manifest: DatasetManifest, records: list[EcgRecord] | None,
 def _read_csv(path: Path, required, name: str) -> list[dict]:
     """Rows of a UTF-8 CSV table keyed by its header, any fold parsed to int.
 
-    A missing column, a short row, a non-integer fold or a non-UTF-8 byte is a
-    DataError naming ``name`` and the line.
+    A leading byte-order mark is dropped. A missing column, a short row, a
+    non-integer fold, a repeated id or a non-UTF-8 byte is a DataError naming
+    ``name`` and the line.
     """
-    data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as e:
-        line_no = data.count(b"\n", 0, e.start) + 1
+        # e.object is the input after any byte-order mark, as e.start is
+        line_no = e.object.count(b"\n", 0, e.start) + 1
         raise DataError(f"{name} line {line_no}: not UTF-8 text") from None
     reader = csv.DictReader(io.StringIO(text, newline=""))
     missing = [c for c in required if c not in (reader.fieldnames or [])]
     if missing:
         raise DataError(f"{name} is missing columns: {', '.join(missing)}")
-    rows = []
+    rows, id_lines = [], {}
     for row in reader:
         where = f"{name} line {reader.line_num}"
         short = [c for c in reader.fieldnames if row[c] is None]
         if short:
             raise DataError(f"{where}: row ends before {', '.join(short)}")
+        if row["id"] in id_lines:
+            raise DataError(f"{where}: id {row['id']!r} repeats line "
+                            f"{id_lines[row['id']]}")
+        id_lines[row["id"]] = reader.line_num
         if "fold" in row:
             try:
                 row["fold"] = int(row["fold"])

@@ -59,7 +59,8 @@ def write_wfdb_record(base_path: str | Path, signal_mv: np.ndarray, fs: float,
 def _parse_gain_token(token: str) -> tuple[float, int]:
     """'200(0)/mV' -> (200.0, 0); units and baseline are optional.
 
-    A non-numeric field or a non-positive gain raises ValueError.
+    A non-numeric field or a gain that is not finite and positive raises
+    ValueError.
     """
     token = token.split("/")[0]
     baseline = 0
@@ -69,8 +70,8 @@ def _parse_gain_token(token: str) -> tuple[float, int]:
     else:
         gain_s = token
     gain = float(gain_s)
-    if gain <= 0:
-        raise ValueError(f"non-positive gain {gain}")
+    if not (math.isfinite(gain) and gain > 0):
+        raise ValueError(f"gain must be finite and positive, got {gain_s!r}")
     return gain, baseline
 
 

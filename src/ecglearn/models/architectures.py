@@ -29,9 +29,9 @@ from ..tensor import Parameter, Tensor
 from ..tensor import functional as F
 from .attention_layers import (LearnedPositionalEmbedding, SelfAttention,
                                TransformerEncoderLayer)
-from .modules import (AvgPool2d, BatchNorm1d, BatchNorm2d, Conv1d, Conv2d,
-                      DepthwiseConv2d, Dropout, ELU, GlobalAvgPool1d, LayerNorm,
-                      Linear, MaxPool1d, Module, ReLU, Sequential)
+from .modules import (BatchNorm1d, BatchNorm2d, Conv1d, Conv2d, DepthwiseConv2d,
+                      Dropout, LayerNorm, Linear, MaxPool1d, Module, ReLU,
+                      Sequential)
 from .recurrent import RecurrentStack
 from .resnet import ResNetBackbone1d
 from .spec import ModelSpec
@@ -59,12 +59,11 @@ class AlexNetBackbone(Module):
             Conv1d(4 * w, 4 * w, 3, rng, padding=1, dtype=dtype), ReLU(),
             MaxPool1d(3, 2),
         )
-        self.pool = GlobalAvgPool1d()
         self.drop = Dropout(hp["dropout"], child_rng(rng))
         self.out_features = 4 * w
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.drop(self.pool(self.features(x)))
+        return self.drop(F.global_avg_pool1d(self.features(x)))
 
 
 class VggBackbone(Module):
@@ -84,22 +83,20 @@ class VggBackbone(Module):
                            BatchNorm1d(item, dtype), ReLU()]
                 in_c = item
         self.features = Sequential(*layers)
-        self.pool = GlobalAvgPool1d()
         self.out_features = 8 * w
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.pool(self.features(x))
+        return F.global_avg_pool1d(self.features(x))
 
 
 class ResNetClassifierBackbone(Module):
     def __init__(self, hp, rng, dtype):
         super().__init__()
         self.resnet = ResNetBackbone1d(N_LEADS, hp["base_width"], rng, dtype)
-        self.pool = GlobalAvgPool1d()
         self.out_features = self.resnet.out_channels
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.pool(self.resnet(x))
+        return F.global_avg_pool1d(self.resnet(x))
 
 
 class GridConvBackbone(Module):
@@ -115,14 +112,11 @@ class GridConvBackbone(Module):
         self.spatial = DepthwiseConv2d(f1, d, (N_LEADS, 1), rng, dtype=dtype,
                                        bias=False)
         self.bn2 = BatchNorm2d(f1 * d, dtype)
-        self.act = ELU()
-        self.pool1 = AvgPool2d((1, 4))
         self.drop1 = Dropout(hp["dropout"], child_rng(rng))
         self.sep_depth = DepthwiseConv2d(f1 * d, 1, (1, 16), rng,
                                          padding=(0, 8), dtype=dtype, bias=False)
         self.sep_point = Conv2d(f1 * d, f2, (1, 1), rng, dtype=dtype, bias=False)
         self.bn3 = BatchNorm2d(f2, dtype)
-        self.pool2 = AvgPool2d((1, 8))
         self.drop2 = Dropout(hp["dropout"], child_rng(rng))
         self.out_features = f2
 
@@ -132,10 +126,10 @@ class GridConvBackbone(Module):
         # activation between the norm layers: a norm -> linear -> norm
         # sandwich would cancel the first norm's affine shift exactly,
         # leaving it without gradient
-        x = self.act(self.bn1(self.temporal(x)))
-        x = self.drop1(self.pool1(self.act(self.bn2(self.spatial(x)))))
+        x = F.elu(self.bn1(self.temporal(x)))
+        x = self.drop1(F.avgpool2d(F.elu(self.bn2(self.spatial(x))), (1, 4)))
         x = self.sep_point(self.sep_depth(x))
-        x = self.drop2(self.pool2(self.act(self.bn3(x))))
+        x = self.drop2(F.avgpool2d(F.elu(self.bn3(x)), (1, 8)))
         B2, C2, H2, W2 = x.shape
         return F.global_avg_pool1d(x.reshape(B2, C2 * H2, W2))
 

@@ -5,6 +5,10 @@ and child modules in registration order, which fixes the traversal order used
 for checkpoints and summaries. ``force_eval`` pins a subtree in eval mode
 regardless of ``train()`` calls; combined with requires_grad=False on its
 parameters this implements freezing.
+
+A layer is a module only where it owns parameters, buffers, a random stream
+or a ``Sequential`` slot; every other op is called from ``functional``, and
+every layer looks its op up there at call time.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from ..tensor import init
 
 __all__ = [
     "Module", "Sequential", "Linear", "Conv1d", "Conv2d", "DepthwiseConv2d",
-    "BatchNorm1d", "BatchNorm2d", "LayerNorm", "Dropout", "ReLU", "ELU",
-    "MaxPool1d", "AvgPool2d", "GlobalAvgPool1d",
+    "BatchNorm1d", "BatchNorm2d", "LayerNorm", "Dropout", "ReLU", "MaxPool1d",
 ]
 
 
@@ -172,50 +175,50 @@ class Linear(Module):
         return F.linear(x, self.weight, self.bias)
 
 
-class Conv1d(Module):
-    def __init__(self, in_ch: int, out_ch: int, kernel: int,
-                 rng: np.random.Generator, stride: int = 1, padding: int = 0,
-                 dtype=np.float32, bias: bool = True):
+class _Conv(Module):
+    """Stride, padding, a He-uniform ``weight`` and an optional zero ``bias``."""
+
+    def __init__(self, shape: tuple, fan_in: int, n_out: int,
+                 rng: np.random.Generator, stride, padding, dtype, bias: bool):
         super().__init__()
         self.stride = stride
         self.padding = padding
-        self.weight = Parameter(
-            init.he_uniform((out_ch, in_ch, kernel), in_ch * kernel, rng, dtype))
-        self.bias = Parameter(init.zeros(out_ch, dtype)) if bias else None
+        self.weight = Parameter(init.he_uniform(shape, fan_in, rng, dtype))
+        self.bias = Parameter(init.zeros(n_out, dtype)) if bias else None
+
+
+class Conv1d(_Conv):
+    def __init__(self, in_ch: int, out_ch: int, kernel: int,
+                 rng: np.random.Generator, stride: int = 1, padding: int = 0,
+                 dtype=np.float32, bias: bool = True):
+        super().__init__((out_ch, in_ch, kernel), in_ch * kernel, out_ch, rng,
+                         stride, padding, dtype, bias)
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv1d(x, self.weight, self.bias,
                         stride=self.stride, padding=self.padding)
 
 
-class Conv2d(Module):
+class Conv2d(_Conv):
     def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int],
                  rng: np.random.Generator, stride=(1, 1), padding=(0, 0),
                  dtype=np.float32, bias: bool = True):
-        super().__init__()
         kh, kw = kernel
-        self.stride = stride
-        self.padding = padding
-        self.weight = Parameter(
-            init.he_uniform((out_ch, in_ch, kh, kw), in_ch * kh * kw, rng, dtype))
-        self.bias = Parameter(init.zeros(out_ch, dtype)) if bias else None
+        super().__init__((out_ch, in_ch, kh, kw), in_ch * kh * kw, out_ch, rng,
+                         stride, padding, dtype, bias)
 
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias,
                         stride=self.stride, padding=self.padding)
 
 
-class DepthwiseConv2d(Module):
+class DepthwiseConv2d(_Conv):
     def __init__(self, channels: int, depth_mult: int, kernel: tuple[int, int],
                  rng: np.random.Generator, stride=(1, 1), padding=(0, 0),
                  dtype=np.float32, bias: bool = True):
-        super().__init__()
         kh, kw = kernel
-        self.stride = stride
-        self.padding = padding
-        self.weight = Parameter(
-            init.he_uniform((channels, depth_mult, kh, kw), kh * kw, rng, dtype))
-        self.bias = Parameter(init.zeros(channels * depth_mult, dtype)) if bias else None
+        super().__init__((channels, depth_mult, kh, kw), kh * kw,
+                         channels * depth_mult, rng, stride, padding, dtype, bias)
 
     def forward(self, x: Tensor) -> Tensor:
         return F.depthwise_conv2d(x, self.weight, self.bias,
@@ -223,6 +226,8 @@ class DepthwiseConv2d(Module):
 
 
 class _BatchNorm(Module):
+    """Batch normalization over axis 1 of [B, C, L] or [B, C, H, W]."""
+
     def __init__(self, channels: int, dtype=np.float32, momentum: float = 0.1,
                  eps: float = 1e-5):
         super().__init__()
@@ -241,12 +246,7 @@ class _BatchNorm(Module):
                            eps=self.eps)
 
 
-class BatchNorm1d(_BatchNorm):
-    pass
-
-
-class BatchNorm2d(_BatchNorm):
-    pass
+BatchNorm1d = BatchNorm2d = _BatchNorm
 
 
 class LayerNorm(Module):
@@ -271,17 +271,12 @@ class Dropout(Module):
 
 
 # ---------------------------------------------------------------------------
-# stateless layers
+# stateless layers that fill a Sequential slot
 
 
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.relu(x)
-
-
-class ELU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.elu(x)
 
 
 class MaxPool1d(Module):
@@ -291,17 +286,3 @@ class MaxPool1d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.maxpool1d(x, self.kernel, self.stride, self.padding)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel: tuple[int, int]):
-        super().__init__()
-        self.kernel = kernel
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avgpool2d(x, self.kernel)
-
-
-class GlobalAvgPool1d(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.global_avg_pool1d(x)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..tensor import Tensor
 from ..tensor import functional as F
-from .modules import BatchNorm1d, Conv1d, MaxPool1d, Module
+from .modules import BatchNorm1d, Conv1d, Module
 
 __all__ = ["BasicBlock1d", "ResNetBackbone1d"]
 
@@ -47,7 +47,6 @@ class ResNetBackbone1d(Module):
         self.conv1 = Conv1d(in_ch, w, 7, rng, stride=2, padding=3,
                             dtype=dtype, bias=False)
         self.bn1 = BatchNorm1d(w, dtype)
-        self.maxpool = MaxPool1d(3, stride=2, padding=1)
         widths = [w, 2 * w, 4 * w, 8 * w]
         in_c = w
         for si, out_c in enumerate(widths):
@@ -60,7 +59,7 @@ class ResNetBackbone1d(Module):
         self.out_channels = 8 * w
 
     def forward(self, x: Tensor) -> Tensor:
-        x = self.maxpool(F.relu(self.bn1(self.conv1(x))))
+        x = F.maxpool1d(F.relu(self.bn1(self.conv1(x))), 3, stride=2, padding=1)
         for si in range(4):
             x = getattr(self, f"layer{si + 1}_0")(x)
             x = getattr(self, f"layer{si + 1}_1")(x)

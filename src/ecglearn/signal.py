@@ -461,7 +461,8 @@ def normalize_array(x: np.ndarray, method: NormalizationMethod) -> np.ndarray:
         den = x.max(axis=1, keepdims=True) - lo
     elif method is NormalizationMethod.ZSCORE:
         num = x - x.mean(axis=1, keepdims=True)
-        den = x.std(axis=1, keepdims=True)
+        # x.std's arithmetic on the centred numerator: the mean is taken once
+        den = np.sqrt(np.square(num).mean(axis=1, keepdims=True))
     elif method is NormalizationMethod.RSCALE:
         q75, q25 = np.percentile(x, [75, 25], axis=1, keepdims=True)
         num = x - np.median(x, axis=1, keepdims=True)

@@ -34,6 +34,9 @@ MALFORMED_HEADERS = {
     "samples": ("r 12 500 10", "r 12 500 ten"),
     "gain": ("200(0)/mV", "high(0)/mV"),
     "baseline": ("200(0)/mV", "200(zero)/mV"),
+    "gain-inf": ("200(0)/mV", "inf(0)/mV"),
+    "gain-nan": ("200(0)/mV", "nan(0)/mV"),
+    "gain-overflow": ("200(0)/mV", "1e400(0)/mV"),
 }
 
 
@@ -74,6 +77,7 @@ MALFORMED_MANIFEST = {
     "short-row": lambda row: "syn99999,records/syn00000.hea",
     "fold-not-integer": lambda row: row.rsplit(",", 1)[0] + ",x",
     "not-utf8": lambda row: "\udcff" + row,  # a lone 0xff byte on disk
+    "dup-id": lambda row: "syn00000" + row[row.index(","):],  # line 2's id
 }
 
 
@@ -93,6 +97,7 @@ MALFORMED_LABELS_CSV = {
     "short-row": ("rec5", 500.0, "labels.csv line 7: row ends before labels"),
     "not-utf8": ("rec5,\udcff", 500.0, "labels.csv line 7: not UTF-8 text"),
     "mixed-fs": ("rec5,b", 250.0, "rec3: fs 250.0 != first record's fs 500.0"),
+    "dup-id": ("rec0,b", 500.0, "labels.csv line 7: id 'rec0' repeats line 2"),
 }
 
 
@@ -395,6 +400,22 @@ class TestSaveLoadRoundtrip:
         with pytest.raises(DataError, match=rf"^manifest\.csv line {line_no}: "):
             load_manifest(tmp_path / "ds")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        m, recs = generate_synthetic_dataset(2, 4, TaskKind.MULTICLASS, seed=14,
+                                             length=300, n_folds=4)
+        save_dataset(m, recs, tmp_path / "ds")
+        want = load_manifest(tmp_path / "ds")
+        csv_path = tmp_path / "ds" / "manifest.csv"
+        csv_path.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+        got = load_manifest(tmp_path / "ds")
+        assert got.rows == want.rows
+
+    def test_repeated_record_id_named(self):
+        task = TaskSpec(TaskKind.BINARY, ("positive",))
+        row = ManifestRow(id="r7", labels=LabelVector(task, np.array([1])), fold=1)
+        with pytest.raises(DataError, match="'r7' repeats"):
+            DatasetManifest(name="d", fs=500.0, task=task, rows=[row, row])
+
     def test_missing_referenced_file(self, tmp_path):
         m, recs = generate_synthetic_dataset(2, 8, TaskKind.MULTICLASS, seed=15,
                                              length=300, n_folds=4)
@@ -416,6 +437,19 @@ class TestImportDataset:
         assert np.array_equal(recs[4].signal,
                               load_wfdb_record(tmp_path / "rec4.hea").signal)
         assert [r.labels.encode() for r in m.rows] == ["a", "b"] * 3
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        labels = write_import_source(tmp_path)
+        labels.write_bytes(b"\xef\xbb\xbf" + labels.read_bytes())
+        m, _ = import_dataset(tmp_path, labels, "multilabel", n_folds=2)
+        assert [r.id for r in m.rows] == [f"rec{i}" for i in range(6)]
+        assert m.task.classes == ("a", "b")
+
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"\xef\xbb\xbfid,labels\n\xffrec0,a\n")
+        with pytest.raises(DataError, match="labels.csv line 2: not UTF-8"):
+            import_dataset(tmp_path, labels, "multilabel")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_LABELS_CSV))
     def test_malformed_source_is_data_error(self, tmp_path, case):

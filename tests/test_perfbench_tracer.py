@@ -46,3 +46,27 @@ def test_round_patches_every_name_and_restores_it(tracer_module):
     # one loader, one bandpass call over all of its records
     assert tracer.stats["dataio.loader_build"][0] == 1
     assert tracer.stats["signal.bandpass"][0] == 1
+
+
+def test_traced_step_reaches_every_layer_op(tracer_module):
+    """A layer that binds its op at import time escapes the patch on
+    ``functional`` and reads fewer calls here."""
+    import ecglearn.models as models
+    from ecglearn.dataio import TaskKind, TaskSpec
+    from ecglearn.learn import focal_loss
+
+    spec = models.ModelSpec("ResNet18_1D", TaskSpec(TaskKind.BINARY, ("positive",)),
+                            {"base_width": 8})
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2, 12, 256)).astype(np.float32)
+    y = np.array([[1.0], [0.0]], dtype=np.float32)
+    tracer = tracer_module.Tracer()
+    with tracer.round():
+        model = models.build(spec, seed=0).train_mode()
+        loss = focal_loss(model.forward(x), y)
+        model.zero_grad()
+        loss.backward()
+    want = {"conv1d": 20, "batchnorm": 20, "relu": 17, "maxpool1d": 1,
+            "global_avg_pool1d": 1, "linear": 1}
+    assert {op: tracer.stats[f"tensor.{op}.fwd"][0] for op in want} == want
+    assert all(tracer.stats[f"tensor.{op}.bwd"][0] for op in want)
