@@ -159,6 +159,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_verify_checkpoint(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
+    ckpt.to_model()     # checks tensor names and shapes
     n_params = sum(int(np.prod(t.shape)) for t in ckpt.tensors.values())
     _echo(f"checkpoint OK: {args.checkpoint}")
     _echo(f"  architecture {ckpt.spec.architecture} "
@@ -171,6 +172,7 @@ def _cmd_verify_checkpoint(args) -> int:
             _echo(f"  {digest}  {name}")
     if args.compare:
         other = load_checkpoint(args.compare)
+        other.to_model()
         mine = tensor_hashes(ckpt.tensors)
         theirs = tensor_hashes(other.tensors)
         names = sorted(set(mine) | set(theirs))

@@ -23,6 +23,7 @@ __all__ = ["write_wfdb_record", "load_wfdb_record", "DEFAULT_GAIN"]
 
 DEFAULT_GAIN = 200.0
 
+_INT16 = np.iinfo(np.int16)
 _LEAD_NAMES = ("I", "II", "III", "aVR", "aVL", "aVF",
                "V1", "V2", "V3", "V4", "V5", "V6")
 
@@ -59,19 +60,27 @@ def write_wfdb_record(base_path: str | Path, signal_mv: np.ndarray, fs: float,
 def _parse_gain_token(token: str) -> tuple[float, int]:
     """'200(0)/mV' -> (200.0, 0); units and baseline are optional.
 
-    A non-numeric field or a gain that is not finite and positive raises
-    ValueError.
+    A non-numeric field, an unclosed '(', a baseline outside int16, or a gain
+    that is not finite and positive or so small that a 16-bit sample divided
+    by it overflows raises ValueError.
     """
     token = token.split("/")[0]
     baseline = 0
     if "(" in token:
         gain_s, rest = token.split("(", 1)
-        baseline = int(rest.rstrip(")"))
+        if not rest.endswith(")"):
+            raise ValueError("unclosed '('")
+        baseline = int(rest[:-1])
+        if not _INT16.min <= baseline <= _INT16.max:
+            raise ValueError(f"baseline {baseline} is outside the int16 range")
     else:
         gain_s = token
     gain = float(gain_s)
     if not (math.isfinite(gain) and gain > 0):
         raise ValueError(f"gain must be finite and positive, got {gain_s!r}")
+    if not math.isfinite((_INT16.max - _INT16.min) / gain):
+        raise ValueError(f"gain {gain_s!r} is so small that (sample - baseline) "
+                         "/ gain overflows")
     return gain, baseline
 
 

@@ -145,8 +145,9 @@ def run_finetune(cfg: RunConfig, checkpoint_path: str | Path,
                  mode: FineTuneMode, log=None) -> Path:
     """Adapt a pretrained checkpoint's head to this dataset and fine-tune.
 
-    The config's architecture and hyperparameters must match the checkpoint;
-    mismatches fail before any training starts.
+    The config's architecture and hyperparameters must match the checkpoint,
+    and its tensors the architecture; mismatches fail before the run
+    directory is made.
     """
     ckpt = load_checkpoint(checkpoint_path)
     if cfg.model.architecture.lower() != ckpt.spec.architecture.lower():
@@ -159,10 +160,10 @@ def run_finetune(cfg: RunConfig, checkpoint_path: str | Path,
             "config hyperparams conflict with the checkpoint; fine-tuning "
             f"must reuse {ckpt.spec.hyperparams}")
     data = ResolvedData(cfg)
+    model = adapt_head(ckpt, data.manifest.task, seed=cfg.seed)
     run_dir = prepare_run_dir(cfg, f"finetune-{ckpt.spec.architecture}")
     _snapshot(cfg, run_dir, extra={"from_checkpoint": str(checkpoint_path),
                                    "mode": FineTuneMode(mode).value})
-    model = adapt_head(ckpt, data.manifest.task, seed=cfg.seed)
     result = finetune(model, mode, data.loader("train", training=True),
                       data.loader("val", training=False),
                       _make_loss(cfg, data), cfg.optimizer, log=log)

@@ -12,10 +12,12 @@ Checkpoint layout (language-neutral, bit-exact, seekable):
 
 Saved state includes normalization running statistics, so save -> load
 round-trips reproduce eval behavior bitwise. Files are written atomically
-(temp file + rename). ``adapt_head`` rebuilds the architecture for a new
-task, freshly initializes the head, and copies every non-head tensor
-bitwise; ``finetune`` trains either all weights or the head only (the frozen
-backbone is pinned in eval mode so none of its tensors can change).
+(temp file + rename). ``load_checkpoint`` checks the file; whatever makes a
+model from it (``to_model``, ``adapt_head``) builds once and checks tensor
+names and shapes. ``adapt_head`` rebuilds the architecture for a new task,
+freshly initializes the head, and copies every non-head tensor bitwise;
+``finetune`` trains either all weights or the head only (the frozen backbone
+is pinned in eval mode so none of its tensors can change).
 """
 
 from __future__ import annotations
@@ -74,13 +76,23 @@ class Checkpoint:
     seed: int
     provenance: dict
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    filename: str = "checkpoint"    # names the file in error messages
 
     def to_model(self, seed: int | None = None) -> Model:
         """Rebuild the architecture in the stored tensors' dtype and restore
         every tensor bitwise."""
-        model = build(self.spec, seed if seed is not None else self.seed,
-                      _stored_dtype(self.tensors))
-        model.load_state_dict(self.tensors)
+        return self._make(self.spec, self.seed if seed is None else seed,
+                          lambda model: self.tensors)
+
+    def _make(self, spec: ModelSpec, seed: int, state_for) -> Model:
+        """Build ``spec`` once and load ``state_for(model)`` into it."""
+        try:
+            model = build(spec, seed, _stored_dtype(self.tensors))
+            model.load_state_dict(state_for(model))
+        except ModelError as e:
+            raise CheckpointError(
+                f"{self.filename}: tensors do not match the model "
+                f"description; {e}") from None
         return model
 
 
@@ -134,14 +146,14 @@ def save_checkpoint(model: Model, provenance: dict, path: str | Path,
     return path
 
 
-def load_checkpoint(path: str | Path, validate_shapes: bool = True) -> Checkpoint:
-    """Parse and validate a checkpoint; a corrupt file never yields a model.
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Parse and check a checkpoint file; no model is built.
 
-    Validation: magic and version, declared vs actual data size (truncation),
-    fingerprint against the embedded model description, each tensor starting
-    where the previous one ends (the layout ``save_checkpoint`` writes), and
-    (by default) name/shape agreement with a freshly built instance of that
-    description.
+    Checks: magic and version, header fields, fingerprint against the
+    embedded model description, declared vs actual data size (truncation),
+    each tensor's dtype and its start where the previous one ends (the
+    layout ``save_checkpoint`` writes). ``to_model`` and ``adapt_head``
+    check tensor names and shapes when they build the model.
     """
     path = Path(path)
     try:
@@ -166,6 +178,13 @@ def load_checkpoint(path: str | Path, validate_shapes: bool = True) -> Checkpoin
         raise CheckpointError(
             f"{path.name}: format version {header['version']} is not "
             f"supported (this build reads version {_VERSION})")
+    seed, provenance = header.get("seed", 0), header.get("provenance", {})
+    if type(seed) is not int or seed < 0:
+        raise CheckpointError(f"{path.name}: corrupt header (seed must be a "
+                              f"non-negative integer, got {seed!r})")
+    if not isinstance(provenance, dict):
+        raise CheckpointError(f"{path.name}: corrupt header (provenance must "
+                              f"be an object, got {provenance!r})")
     try:
         spec = ModelSpec.from_dict(header["spec"])
         expected = sum(t["nbytes"] for t in header["tensors"])
@@ -200,17 +219,9 @@ def load_checkpoint(path: str | Path, validate_shapes: bool = True) -> Checkpoin
             offset += nbytes
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path.name}: corrupt header ({e!r})") from None
-    ckpt = Checkpoint(version=header["version"], fingerprint=header["fingerprint"],
-                      spec=spec, seed=header.get("seed", 0),
-                      provenance=header.get("provenance", {}), tensors=tensors)
-    if validate_shapes:
-        try:
-            build(spec, seed=0).load_state_dict(tensors)
-        except ModelError as e:
-            raise CheckpointError(
-                f"{path.name}: tensors do not match the model description; "
-                f"{e}") from None
-    return ckpt
+    return Checkpoint(version=header["version"], fingerprint=header["fingerprint"],
+                      spec=spec, seed=seed, provenance=provenance,
+                      tensors=tensors, filename=path.name)
 
 
 def adapt_head(checkpoint: Checkpoint, task: TaskSpec, seed: int) -> Model:
@@ -218,28 +229,18 @@ def adapt_head(checkpoint: Checkpoint, task: TaskSpec, seed: int) -> Model:
 
     The head is always freshly initialized (seeded), even when the class
     count matches the checkpoint's; the model is built in the stored tensors'
-    dtype and every non-head tensor is copied bitwise.
+    dtype and every non-head tensor is copied bitwise. Tensor names must be
+    the architecture's, head included; the old head's shapes are not read.
     """
     new_spec = ModelSpec(architecture=checkpoint.spec.architecture,
                          task=task, hyperparams=checkpoint.spec.hyperparams)
-    model = build(new_spec, seed, _stored_dtype(checkpoint.tensors))
-    prefix = model.head_prefix
-    ckpt_backbone = {n for n in checkpoint.tensors if not n.startswith(prefix)}
-    if not any(n.startswith(prefix) for n in checkpoint.tensors):
-        raise CheckpointError(
-            f"checkpoint for {checkpoint.spec.architecture} has no "
-            f"{prefix}* tensors; cannot adapt its head")
-    state = model.state_dict()
-    model_backbone = {n for n in state if not n.startswith(prefix)}
-    if ckpt_backbone != model_backbone:
-        raise CheckpointError(
-            "backbone tensors do not line up for head adaptation; "
-            f"only-in-checkpoint={sorted(ckpt_backbone - model_backbone)}, "
-            f"only-in-model={sorted(model_backbone - ckpt_backbone)}")
-    for name in model_backbone:
-        state[name] = checkpoint.tensors[name]
-    model.load_state_dict(state)
-    return model
+
+    def fresh_head(model: Model) -> dict[str, np.ndarray]:
+        head = {n: p.data for n, p in model.named_parameters().items()
+                if n.startswith(model.head_prefix)}
+        return {n: head.get(n, arr) for n, arr in checkpoint.tensors.items()}
+
+    return checkpoint._make(new_spec, seed, fresh_head)
 
 
 def finetune(model: Model, mode: FineTuneMode, train_loader: BatchLoader,

@@ -14,8 +14,9 @@ from test_dataio import (MALFORMED_HEADERS, MALFORMED_LABELS_CSV,
                          MALFORMED_MANIFEST, MALFORMED_META, corrupt_manifest,
                          corrupt_meta, write_import_source,
                          write_malformed_record)
-from test_transfer import (MALFORMED_CKPT_HEADERS, rewrite_header,
-                           trained_small_model)
+from test_transfer import (ADAPT_HEAD_REFUSES, MALFORMED_CKPT_HEADERS,
+                           MISMATCHED_TENSOR_TABLES, mismatched_checkpoint,
+                           rewrite_header, trained_small_model)
 
 
 def cli(*argv) -> int:
@@ -466,6 +467,28 @@ class TestExitCodes:
         assert cli("verify-checkpoint", path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: m.ckpt: corrupt header")
+
+    @pytest.mark.parametrize("case", sorted(MISMATCHED_TENSOR_TABLES))
+    def test_mismatched_tensor_table_is_runtime_error(self, tmp_path, capsys,
+                                                      case):
+        path = mismatched_checkpoint(tmp_path / "m.ckpt", case)
+        good = save_checkpoint(trained_small_model(), {"source": "none"},
+                               tmp_path / "good.ckpt")
+        for argv in ([path], [good, "--compare", path]):
+            assert cli("verify-checkpoint", *argv) == 1
+            assert capsys.readouterr().err.startswith("error: m.ckpt: ")
+
+    @pytest.mark.parametrize("case", ADAPT_HEAD_REFUSES)
+    def test_finetune_from_mismatched_table_makes_no_run_dir(self, tmp_path,
+                                                             dataset, capsys,
+                                                             case):
+        path = mismatched_checkpoint(tmp_path / "m.ckpt", case)
+        rc = cli("finetune", "--config", write_config(tmp_path, dataset),
+                 "--out", tmp_path / "ft", "--from-checkpoint", path,
+                 "--mode", "all")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: m.ckpt: ")
+        assert not (tmp_path / "ft").exists()
 
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path, dataset):
         bad = tmp_path / "bad.ckpt"

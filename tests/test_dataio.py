@@ -37,6 +37,9 @@ MALFORMED_HEADERS = {
     "gain-inf": ("200(0)/mV", "inf(0)/mV"),
     "gain-nan": ("200(0)/mV", "nan(0)/mV"),
     "gain-overflow": ("200(0)/mV", "1e400(0)/mV"),
+    "gain-subnormal": ("200(0)/mV", "1e-320(0)/mV"),
+    "baseline-overflow": ("200(0)/mV", "200(99999999999999999999)/mV"),
+    "gain-unclosed": ("200(0)/mV", "200(0"),
 }
 
 
@@ -151,6 +154,15 @@ class TestWfdbRecords:
     def test_malformed_header_is_data_error(self, tmp_path, case):
         header = write_malformed_record(tmp_path / "r", case)
         with pytest.raises(DataError, match=r"^r\.hea: "):
+            load_wfdb_record(header)
+
+    @pytest.mark.filterwarnings("error")      # no numpy overflow on the way
+    @pytest.mark.parametrize("case", ["gain-subnormal", "baseline-overflow",
+                                      "gain-unclosed"])
+    def test_bad_gain_token_is_named(self, tmp_path, case):
+        header = write_malformed_record(tmp_path / "r", case)
+        token = MALFORMED_HEADERS[case][1]
+        with pytest.raises(DataError, match=re.escape(f"r.hea: bad gain {token!r}")):
             load_wfdb_record(header)
 
     def test_wrong_lead_count_rejected(self, tmp_path):

@@ -70,3 +70,23 @@ def test_traced_step_reaches_every_layer_op(tracer_module):
             "global_avg_pool1d": 1, "linear": 1}
     assert {op: tracer.stats[f"tensor.{op}.fwd"][0] for op in want} == want
     assert all(tracer.stats[f"tensor.{op}.bwd"][0] for op in want)
+
+
+def test_traced_checkpoint_load_and_adapt_build_once(tracer_module, tmp_path):
+    """A build bound at import time escapes the patch on ``transfer.build``
+    and reads no span here; a second build reads two."""
+    import ecglearn.transfer as transfer
+    from ecglearn.dataio import TaskKind, TaskSpec
+    from ecglearn.models import ModelSpec, build
+
+    spec = ModelSpec("CRNN_GRU", TaskSpec(TaskKind.MULTILABEL, ("a", "b", "c")),
+                     {"base_width": 4, "hidden_size": 8, "num_layers": 1})
+    path = transfer.save_checkpoint(build(spec, seed=0), {"source": "none"},
+                                    tmp_path / "m.ckpt")
+    tracer = tracer_module.Tracer()
+    with tracer.round():
+        ckpt = transfer.load_checkpoint(path)
+        transfer.adapt_head(ckpt, TaskSpec(TaskKind.BINARY, ("positive",)), 1)
+    assert tracer.stats["transfer.load_checkpoint"][0] == 1
+    assert tracer.stats["transfer.adapt_head"][0] == 1
+    assert tracer.stats["models.build"][0] == 1

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import ecglearn.transfer as transfer
 from ecglearn.dataio import (BatchLoader, TaskKind, TaskSpec,
                              generate_synthetic_dataset)
 from ecglearn.errors import CheckpointError
@@ -36,7 +37,7 @@ def rewrite_tensor_table(path, edit):
     ``edit(tensors)``; the rest of the header, fingerprint included, stays."""
     raw = path.read_bytes()
     header = json.loads(raw[16:16 + int.from_bytes(raw[8:16], "little")])
-    tensors = load_checkpoint(path, validate_shapes=False).tensors
+    tensors = load_checkpoint(path).tensors
     edit(tensors)
     table, blocks, offset = [], [], 0
     for name in sorted(tensors):
@@ -101,7 +102,34 @@ MALFORMED_CKPT_HEADERS = {
     "tensor-shape-vs-nbytes": each_tensor(lambda t: {**t, "shape": t["shape"] + [3]}),
     "tensor-offsets-swapped": swapped_offsets,
     "tensor-offset-shifted": shifted_first_offset,
+    "seed-string": lambda header: {**header, "seed": "x"},
+    "seed-negative": lambda header: {**header, "seed": -3},
+    "seed-fraction": lambda header: {**header, "seed": 1.5},
+    "provenance-list": lambda header: {**header, "provenance": ["PTB-XL"]},
 }
+
+# tensor-table edits that leave the file well formed but do not fit the
+# architecture: (edit, what the error names)
+MISMATCHED_TENSOR_TABLES = {
+    "missing": (lambda t: t.pop("head.bias"), r"missing=\['head.bias'\]"),
+    "extra": (lambda t: t.update({"backbone.extra": np.zeros(3, np.float32)}),
+              r"unexpected=\['backbone.extra'\]"),
+    "wrong-shape": (lambda t: t.update({"head.weight": t["head.weight"].T}),
+                    r"'head.weight'.*shape"),
+    "backbone-wrong-shape": (
+        lambda t: t.update({"backbone.resnet.bn1.gamma":
+                            t["backbone.resnet.bn1.gamma"][:-1]}),
+        r"'backbone.resnet.bn1.gamma'.*shape"),
+}
+# adapt_head reads every name and every backbone shape, but no head shape
+ADAPT_HEAD_REFUSES = ("missing", "extra", "backbone-wrong-shape")
+
+
+def mismatched_checkpoint(path, case):
+    """Save a small model to ``path`` with its table edited as ``case``."""
+    save_checkpoint(trained_small_model(), {"source": "none"}, path)
+    rewrite_tensor_table(path, MISMATCHED_TENSOR_TABLES[case][0])
+    return path
 
 
 class TestCheckpointRoundtrip:
@@ -151,20 +179,35 @@ class TestCheckpointRoundtrip:
         with pytest.raises(CheckpointError, match="fingerprint mismatch"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda t: t.pop("head.bias"), r"missing=\['head.bias'\]"),
-        (lambda t: t.update({"backbone.extra": np.zeros(3, np.float32)}),
-         r"unexpected=\['backbone.extra'\]"),
-        (lambda t: t.update({"head.weight": t["head.weight"].T}),
-         r"'head.weight'.*shape"),
-    ], ids=["missing", "extra", "wrong-shape"])
-    def test_tensor_table_must_match_description(self, tmp_path, edit, message):
+    @pytest.mark.parametrize("case", sorted(MISMATCHED_TENSOR_TABLES))
+    def test_tensor_table_must_match_description(self, tmp_path, case):
+        ckpt = load_checkpoint(mismatched_checkpoint(tmp_path / "m.ckpt", case))
+        message = r"m\.ckpt: .*" + MISMATCHED_TENSOR_TABLES[case][1]
+        with pytest.raises(CheckpointError, match=message):
+            ckpt.to_model()
+        if case not in ADAPT_HEAD_REFUSES:
+            adapt_head(ckpt, TASK1, seed=1)     # the old head is not read
+            return
+        with pytest.raises(CheckpointError, match=message):
+            adapt_head(ckpt, TASK1, seed=1)
+
+    def test_load_builds_nothing_and_each_model_builds_once(self, tmp_path,
+                                                            monkeypatch):
         path = save_checkpoint(trained_small_model(), {"source": "none"},
                                tmp_path / "m.ckpt")
-        rewrite_tensor_table(path, edit)
-        load_checkpoint(path, validate_shapes=False)   # still well formed
-        with pytest.raises(CheckpointError, match=r"m\.ckpt: .*" + message):
-            load_checkpoint(path)
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "build", counting_build)
+        ckpt = load_checkpoint(path)
+        assert len(calls) == 0
+        ckpt.to_model()
+        assert len(calls) == 1
+        adapt_head(ckpt, TASK1, seed=1)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CKPT_HEADERS))
     def test_malformed_header_is_checkpoint_error(self, tmp_path, case):
