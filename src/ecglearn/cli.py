@@ -108,23 +108,20 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _cmd_train(args) -> int:
-    cfg = _load_config(args)
-    run_dir = run_train(cfg, log=_echo)
+def _report_run(run_dir: Path) -> int:
     metrics = json.loads((run_dir / "metrics.json").read_text())
     _echo(f"run directory: {run_dir}")
     _echo(f"test f1 {metrics['f1']:.4f}  accuracy {metrics['accuracy']:.4f}")
     return 0
+
+
+def _cmd_train(args) -> int:
+    return _report_run(run_train(_load_config(args), log=_echo))
 
 
 def _cmd_finetune(args) -> int:
-    cfg = _load_config(args)
-    run_dir = run_finetune(cfg, args.from_checkpoint,
-                           FineTuneMode(args.mode), log=_echo)
-    metrics = json.loads((run_dir / "metrics.json").read_text())
-    _echo(f"run directory: {run_dir}")
-    _echo(f"test f1 {metrics['f1']:.4f}  accuracy {metrics['accuracy']:.4f}")
-    return 0
+    return _report_run(run_finetune(_load_config(args), args.from_checkpoint,
+                                    FineTuneMode(args.mode), log=_echo))
 
 
 def _cmd_sweep(args) -> int:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .augment import AugmentConfig
 from .errors import ConfigError
+from .learn.losses import _check_focal_params
 from .learn.optim import OptimizerConfig
 from .signal import NormalizationMethod
 
@@ -50,6 +51,7 @@ class LossConfig:
         if self.kind not in ("focal", "weighted_bce"):
             raise ConfigError(f"loss kind must be 'focal' or 'weighted_bce', "
                               f"got {self.kind!r}")
+        _check_focal_params(self.gamma, self.alpha)
 
 
 @dataclass(frozen=True)

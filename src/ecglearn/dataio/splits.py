@@ -47,7 +47,8 @@ def ptbxl_split(manifest: DatasetManifest) -> SplitPlan:
 
 
 def split_indices(manifest: DatasetManifest, plan: SplitPlan) -> dict[str, list[int]]:
-    """Row indices per split; every record must land in exactly one split."""
+    """Row indices per split; every record must land in exactly one split,
+    and every split must select at least one record."""
     folds = manifest.folds()
     unassigned = set(int(f) for f in folds) - set(plan.all_folds())
     if unassigned:
@@ -62,6 +63,10 @@ def split_indices(manifest: DatasetManifest, plan: SplitPlan) -> dict[str, list[
             out["val"].append(i)
         else:
             out["test"].append(i)
+    for split, idx in out.items():
+        if not idx:
+            folds = sorted(getattr(plan, f"{split}_folds"))
+            raise SplitError(f"split {split!r} (folds {folds}) selects no records")
     return out
 
 

@@ -25,6 +25,14 @@ def _binary_targets(targets, logits: Tensor) -> np.ndarray:
     return t
 
 
+def _check_focal_params(gamma: float, alpha: float):
+    """gamma >= 0 and alpha in (0, 1); NaN fails both."""
+    if not gamma >= 0:
+        raise DataError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 < alpha < 1.0:
+        raise DataError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def focal_loss(logits: Tensor, targets, gamma: float = 2.0,
                alpha: float = 0.7) -> Tensor:
     """Mean of -alpha_t * (1 - p_t)^gamma * log(p_t).
@@ -33,10 +41,7 @@ def focal_loss(logits: Tensor, targets, gamma: float = 2.0,
     alpha weights positives, (1 - alpha) negatives. gamma=0, alpha=0.5
     reduces to 0.5 * binary cross-entropy.
     """
-    if gamma < 0:
-        raise DataError(f"gamma must be >= 0, got {gamma}")
-    if not 0.0 < alpha < 1.0:
-        raise DataError(f"alpha must be in (0, 1), got {alpha}")
+    _check_focal_params(gamma, alpha)
     t = _binary_targets(targets, logits)
     log_p1 = F.logsigmoid(logits)        # log p for target 1
     log_p0 = F.logsigmoid(-logits)       # log p for target 0

@@ -12,7 +12,9 @@ from ..dataio.labels import TaskSpec
 __all__ = ["ModelSpec", "ARCHITECTURE_NAMES", "HYPERPARAM_DEFAULTS"]
 
 # per-architecture hyperparameters and their defaults; width knobs allow the
-# reduced-size builds used for gradient checking
+# reduced-size builds used for gradient checking. A default's type sets the
+# rule for its values: an int takes an integer >= 1, a float (dropout) a
+# number in [0, 1).
 HYPERPARAM_DEFAULTS: dict[str, dict] = {
     "AlexNet1D": {"width": 64, "dropout": 0.5},
     "VGG11bn1D": {"width": 64},
@@ -56,6 +58,14 @@ class ModelSpec:
             raise ModelError(
                 f"{canon}: unknown hyperparameters {sorted(unknown)}; "
                 f"valid keys: {sorted(defaults)}")
+        for key, value in self.hyperparams.items():
+            dropout = isinstance(defaults[key], float)
+            typed = (isinstance(value, (int, float) if dropout else int)
+                     and not isinstance(value, bool))
+            if not (typed and (0 <= value < 1 if dropout else value >= 1)):
+                rule = "a number in [0, 1)" if dropout else "an integer >= 1"
+                raise ModelError(f"{canon}: hyperparameter {key!r} must be "
+                                 f"{rule}, got {value!r}")
         resolved = {**defaults, **self.hyperparams}
         object.__setattr__(self, "hyperparams", resolved)
 

@@ -5,6 +5,9 @@ Every command writes into a run directory: the resolved config snapshot
 (best.ckpt), and the test-split metric report (metrics.json). Re-running a
 snapshot under its recorded seed reproduces history and parameters
 bit-for-bit. Output never touches the input dataset directory.
+
+A run is refused before its directory exists: train and finetune make every
+input first, so a refused command leaves nothing and can be re-run as it is.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from .config import (RunConfig, _read_json, apply_override, config_from_dict,
 from .dataio import (BatchLoader, DatasetManifest, SplitPlan, load_manifest,
                      load_records, split_indices)
 from .errors import ConfigError, EcglearnError
-from .learn import (class_weights_from_counts, evaluate, focal_loss,
-                    history_row_names, train_model, weighted_bce)
-from .models import Model, ModelSpec, build
+from .learn import (MetricsReport, TrainResult, class_weights_from_counts,
+                    evaluate, focal_loss, history_row_names, train_model,
+                    weighted_bce)
+from .models import ModelSpec, build
 from .signal import FilterSpec
 from .transfer import (FineTuneMode, adapt_head, finetune, load_checkpoint,
                        save_checkpoint)
@@ -42,10 +46,15 @@ def default_output_root() -> Path:
     return Path(os.environ.get(OUTPUT_ROOT_ENV, "runs"))
 
 
-def prepare_run_dir(cfg: RunConfig, name_hint: str) -> Path:
+def _free_run_dir(cfg: RunConfig, name_hint: str) -> Path:
     out = Path(cfg.out_dir) if cfg.out_dir else default_output_root() / name_hint
     if out.exists() and any(out.iterdir()):
         raise ConfigError(f"run directory {out} already exists and is not empty")
+    return out
+
+
+def prepare_run_dir(cfg: RunConfig, name_hint: str) -> Path:
+    out = _free_run_dir(cfg, name_hint)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -53,29 +62,22 @@ def prepare_run_dir(cfg: RunConfig, name_hint: str) -> Path:
 class ResolvedData:
     def __init__(self, cfg: RunConfig):
         dataset_dir = Path(cfg.manifest)
-        self.dataset_dir = dataset_dir
         self.manifest: DatasetManifest = load_manifest(dataset_dir)
-        self.records = load_records(self.manifest, dataset_dir)
         plan = SplitPlan(train_folds=frozenset(cfg.split.train_folds),
                          val_folds=frozenset(cfg.split.val_folds),
                          test_folds=frozenset(cfg.split.test_folds))
         self.indices = split_indices(self.manifest, plan)
-        pp = cfg.preprocess
-        self.filter_spec = None
-        if pp.filter is not None:
-            self.filter_spec = FilterSpec(fs=self.manifest.fs,
-                                          order=pp.filter.order,
-                                          low_cut=pp.filter.low_cut,
-                                          high_cut=pp.filter.high_cut)
+        self.records = load_records(self.manifest, dataset_dir)
+        f = cfg.preprocess.filter
+        self.filter_spec = None if f is None else FilterSpec(
+            fs=self.manifest.fs, order=f.order, low_cut=f.low_cut,
+            high_cut=f.high_cut)
         self._cfg = cfg
 
     def loader(self, split: str, training: bool) -> BatchLoader:
-        idx = self.indices[split]
-        if not idx:
-            raise ConfigError(f"split {split!r} selects no records")
         pp = self._cfg.preprocess
         return BatchLoader(
-            [self.records[i] for i in idx], self.manifest.task,
+            [self.records[i] for i in self.indices[split]], self.manifest.task,
             batch_size=self._cfg.optimizer.batch_size,
             segment_len=pp.segment_len, normalization=pp.normalization,
             filter_spec=self.filter_spec, max_len=pp.max_len,
@@ -103,42 +105,67 @@ def _write_history(path: Path, history: list[dict]):
                              for n in names])
 
 
-def _finish_run(run_dir: Path, cfg: RunConfig, model: Model, result,
-                data: ResolvedData, provenance: dict) -> Path:
+def _write_json(path: Path, payload: dict):
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _run(cfg: RunConfig, log, checkpoint_path=None, mode=None
+         ) -> tuple[Path, TrainResult, MetricsReport]:
+    """Train from scratch, or fine-tune ``checkpoint_path`` in ``mode``.
+
+    Nothing is written until the checkpoint (which names the default run
+    directory), a free run directory, the splits, records, model, loss and
+    train and val loaders are made; the test loader is built after training.
+    """
+    ckpt = None if checkpoint_path is None else load_checkpoint(checkpoint_path)
+    if ckpt is None:
+        run_dir = _free_run_dir(cfg, f"train-{cfg.model.architecture}")
+    else:
+        run_dir = _free_run_dir(cfg, f"finetune-{ckpt.spec.architecture}")
+        if cfg.model.architecture.lower() != ckpt.spec.architecture.lower():
+            raise ConfigError(
+                f"config architecture {cfg.model.architecture!r} does not "
+                f"match checkpoint architecture {ckpt.spec.architecture!r}")
+        if {**ckpt.spec.hyperparams, **cfg.model.hyperparams} != ckpt.spec.hyperparams:
+            raise ConfigError(
+                "config hyperparams conflict with the checkpoint; fine-tuning "
+                f"must reuse {ckpt.spec.hyperparams}")
+    data = ResolvedData(cfg)
+    provenance = {"source": data.manifest.name, "seed": cfg.seed}
+    snapshot = config_to_dict(cfg)
+    if ckpt is None:
+        model = build(ModelSpec(cfg.model.architecture, data.manifest.task,
+                                cfg.model.hyperparams), cfg.seed)
+    else:
+        mode = FineTuneMode(mode)
+        model = adapt_head(ckpt, data.manifest.task, seed=cfg.seed)
+        provenance.update(pretrained_on=ckpt.provenance.get("source", "none"),
+                          finetune_mode=mode.value)
+        snapshot["_invocation"] = {"from_checkpoint": str(checkpoint_path),
+                                   "mode": mode.value}
+    loss_fn = _make_loss(cfg, data)
+    loaders = (data.loader("train", training=True),
+               data.loader("val", training=False))
+
+    run_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(run_dir / "config.json", {**snapshot, "out_dir": str(run_dir)})
+    if ckpt is None:
+        result = train_model(model, *loaders, loss_fn, cfg.optimizer, log=log)
+    else:
+        result = finetune(model, mode, *loaders, loss_fn, cfg.optimizer, log=log)
     _write_history(run_dir / "history.csv", result.history)
-    provenance = {**provenance, "epochs": len(result.history),
-                  "best_epoch": result.best_epoch,
-                  "best_val_f1": result.best_val_f1}
-    save_checkpoint(model, provenance, run_dir / "best.ckpt", seed=cfg.seed)
-    test_report = evaluate(model, data.loader("test", training=False))
-    payload = {"split": "test", **test_report.to_dict()}
-    (run_dir / "metrics.json").write_text(json.dumps(payload, indent=2,
-                                                     sort_keys=True) + "\n")
-    return run_dir
-
-
-def _snapshot(cfg: RunConfig, run_dir: Path, extra: dict | None = None):
-    data = config_to_dict(cfg)
-    data["out_dir"] = str(run_dir)
-    if extra:
-        data = {**data, "_invocation": extra}
-    (run_dir / "config.json").write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n")
+    save_checkpoint(model, {**provenance, "epochs": len(result.history),
+                            "best_epoch": result.best_epoch,
+                            "best_val_f1": result.best_val_f1},
+                    run_dir / "best.ckpt", seed=cfg.seed)
+    report = evaluate(model, data.loader("test", training=False))
+    _write_json(run_dir / "metrics.json", {"split": "test", **report.to_dict()})
+    return run_dir, result, report
 
 
 def run_train(cfg: RunConfig, log=None) -> Path:
     """Train from scratch per the config; returns the run directory."""
-    data = ResolvedData(cfg)
-    run_dir = prepare_run_dir(cfg, f"train-{cfg.model.architecture}")
-    _snapshot(cfg, run_dir)
-    spec = ModelSpec(cfg.model.architecture, data.manifest.task,
-                     cfg.model.hyperparams)
-    model = build(spec, cfg.seed)
-    result = train_model(model, data.loader("train", training=True),
-                         data.loader("val", training=False),
-                         _make_loss(cfg, data), cfg.optimizer, log=log)
-    return _finish_run(run_dir, cfg, model, result, data,
-                       {"source": data.manifest.name, "seed": cfg.seed})
+    return _run(cfg, log)[0]
 
 
 def run_finetune(cfg: RunConfig, checkpoint_path: str | Path,
@@ -149,28 +176,7 @@ def run_finetune(cfg: RunConfig, checkpoint_path: str | Path,
     and its tensors the architecture; mismatches fail before the run
     directory is made.
     """
-    ckpt = load_checkpoint(checkpoint_path)
-    if cfg.model.architecture.lower() != ckpt.spec.architecture.lower():
-        raise ConfigError(
-            f"config architecture {cfg.model.architecture!r} does not match "
-            f"checkpoint architecture {ckpt.spec.architecture!r}")
-    merged = {**ckpt.spec.hyperparams, **cfg.model.hyperparams}
-    if merged != ckpt.spec.hyperparams:
-        raise ConfigError(
-            "config hyperparams conflict with the checkpoint; fine-tuning "
-            f"must reuse {ckpt.spec.hyperparams}")
-    data = ResolvedData(cfg)
-    model = adapt_head(ckpt, data.manifest.task, seed=cfg.seed)
-    run_dir = prepare_run_dir(cfg, f"finetune-{ckpt.spec.architecture}")
-    _snapshot(cfg, run_dir, extra={"from_checkpoint": str(checkpoint_path),
-                                   "mode": FineTuneMode(mode).value})
-    result = finetune(model, mode, data.loader("train", training=True),
-                      data.loader("val", training=False),
-                      _make_loss(cfg, data), cfg.optimizer, log=log)
-    provenance = {"source": data.manifest.name,
-                  "pretrained_on": ckpt.provenance.get("source", "none"),
-                  "finetune_mode": FineTuneMode(mode).value, "seed": cfg.seed}
-    return _finish_run(run_dir, cfg, model, result, data, provenance)
+    return _run(cfg, log, checkpoint_path, mode)[0]
 
 
 def run_evaluate(checkpoint_path: str | Path, cfg: RunConfig,
@@ -208,13 +214,8 @@ def run_sweep(base_cfg: RunConfig, grid: dict[str, list], log=None) -> Path:
         row = {"run": f"run-{combo_idx:03d}",
                **{k: repr(v) for k, v in overrides.items()}}
         try:
-            cfg = config_from_dict(RunConfig, data)
-            run_dir = run_train(cfg, log=log)
-            with open(run_dir / "history.csv", newline="") as fh:
-                header, *history = csv.reader(fh)
-            best_val_f1 = max(float(r[header.index("val_f1")]) for r in history)
-            test = json.loads((run_dir / "metrics.json").read_text())
-            row.update(status="ok", val_f1=best_val_f1, test_f1=test["f1"])
+            _, result, test = _run(config_from_dict(RunConfig, data), log)
+            row.update(status="ok", val_f1=result.best_val_f1, test_f1=test.f1)
         except EcglearnError as e:
             row.update(status=f"failed: {e}", val_f1=float("-inf"),
                        test_f1=float("nan"))
@@ -268,9 +269,8 @@ def run_report(run_dirs: list[str | Path], out_dir: str | Path,
             "architecture": cfg.get("model", {}).get("architecture", "?"),
             **{k: metrics[k] for k in _TABLE_KEYS},
         })
-        radial = {k: metrics[k] for k in RADIAL_KEYS}
-        (out / f"radial-{name}.json").write_text(
-            json.dumps(radial, indent=2, sort_keys=True) + "\n")
+        _write_json(out / f"radial-{name}.json",
+                    {k: metrics[k] for k in RADIAL_KEYS})
 
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["run", "architecture", *_TABLE_KEYS])

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dataio.batches import BatchLoader
 from .dataio.labels import TaskSpec
-from .errors import CheckpointError, ModelError
+from .errors import CheckpointError, DataError, ModelError
 from .learn.optim import OptimizerConfig
 from .learn.train import LossFn, TrainResult, train_model
 from .models import Model, ModelSpec, build
@@ -149,8 +149,9 @@ def save_checkpoint(model: Model, provenance: dict, path: str | Path,
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Parse and check a checkpoint file; no model is built.
 
-    Checks: magic and version, header fields, fingerprint against the
-    embedded model description, declared vs actual data size (truncation),
+    Checks: magic and version, header fields (the model description's
+    architecture, task and hyperparameter values among them), fingerprint
+    against the embedded model description, declared vs actual data size (truncation),
     each tensor's dtype and its start where the previous one ends (the
     layout ``save_checkpoint`` writes). ``to_model`` and ``adapt_head``
     check tensor names and shapes when they build the model.
@@ -188,7 +189,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     try:
         spec = ModelSpec.from_dict(header["spec"])
         expected = sum(t["nbytes"] for t in header["tensors"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ModelError, DataError) as e:
         raise CheckpointError(f"{path.name}: corrupt header ({e!r})") from None
     if spec.fingerprint() != header["fingerprint"]:
         raise CheckpointError(

@@ -50,6 +50,47 @@ def write_config(tmp_path, dataset, **overrides):
     return path
 
 
+def set_args(items):
+    return [arg for item in items for arg in ("--set", item)]
+
+
+def move_class_out_of_train(dataset, name):
+    """Rewrite manifest.csv so every ``name`` record of folds 1-8 is in fold 9."""
+    path = dataset / "manifest.csv"
+    header, *rows = path.read_text().splitlines()
+    for i, row in enumerate(rows):
+        rid, rpath, labels, fold = row.split(",")
+        if labels == name and int(fold) <= 8:
+            rows[i] = ",".join((rid, rpath, labels, "9"))
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+# train settings refused before the run directory exists: (the --set items,
+# the same items with the setting fixed, what the error says)
+TRAIN_REFUSALS = {
+    "unknown-architecture": (["model.architecture=Foo"],
+                             ["model.architecture=ResNet18_1D"],
+                             "unknown architecture 'Foo'"),
+    "base-width-zero": (['model.hyperparams={"base_width": 0}'],
+                        ['model.hyperparams={"base_width": 4}'],
+                        "'base_width' must be an integer >= 1, got 0"),
+    "alpha-above-one": (["loss.alpha=1.5"], ["loss.alpha=0.5"],
+                        "alpha must be in (0, 1), got 1.5"),
+    "empty-test-split": (["split.train_folds=[1,2,3,4,5,6,7,8,10]",
+                          "split.test_folds=[11]"],
+                         ["split.train_folds=[1,2,3,4,5,6,7,8]",
+                          "split.test_folds=[10]"],
+                         "split 'test' (folds [11]) selects no records"),
+    "segment-len-zero": (["preprocess.segment_len=0"],
+                         ["preprocess.segment_len=96"],
+                         "segment_len must be >= 1, got 0"),
+    # the dataset holds no class-c1 record in a train fold
+    "weighted-bce-no-train-positives": (["loss.kind=weighted_bce"],
+                                        ["loss.kind=focal"],
+                                        "classes [1] have no positive examples"),
+}
+
+
 class TestPrepare:
     def test_synthetic_round_counts(self, tmp_path, capsys):
         rc = cli("prepare", "--out", tmp_path / "d", "--synthetic",
@@ -214,6 +255,22 @@ class TestTrain:
         cfg.write_text(json.dumps(data))
         assert cli("train", "--config", cfg, "--out", tmp_path / "r") == 2
 
+    @pytest.mark.parametrize("case", sorted(TRAIN_REFUSALS))
+    def test_refused_before_run_dir_exists(self, tmp_path, dataset, capsys, case):
+        bad, fixed, message = TRAIN_REFUSALS[case]
+        if case == "weighted-bce-no-train-positives":
+            move_class_out_of_train(dataset, "c1")
+        out = tmp_path / "run"
+        argv = ["train", "--config", write_config(tmp_path, dataset), "--out", out]
+        # in process, an unhandled error (a traceback) would raise out of cli()
+        assert cli(*argv, *set_args(bad)) == 2
+        stdout, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err
+        assert "epoch" not in stdout
+        assert not out.exists()
+        assert cli(*argv, *set_args(fixed)) == 0
+        assert (out / "metrics.json").exists()
+
     def test_snapshot_rerun_reproduces_history(self, tmp_path, dataset):
         cfg = write_config(tmp_path, dataset)
         run_a = tmp_path / "runA"
@@ -267,6 +324,21 @@ class TestFinetuneAndVerify:
                  "--from-checkpoint", pre / "best.ckpt", "--mode", "all")
         assert rc == 2
         assert not (tmp_path / "x" / "history.csv").exists()
+
+    def test_empty_split_refused_before_run_dir_exists(self, tmp_path, dataset,
+                                                      capsys):
+        cfg = write_config(tmp_path, dataset)
+        pre = tmp_path / "pre"
+        assert cli("train", "--config", cfg, "--out", pre) == 0
+        capsys.readouterr()
+        bad, _, message = TRAIN_REFUSALS["empty-test-split"]
+        rc = cli("finetune", "--config", cfg, "--out", tmp_path / "ft",
+                 "--from-checkpoint", pre / "best.ckpt", "--mode", "all",
+                 *set_args(bad))
+        assert rc == 2
+        stdout, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err
+        assert "epoch" not in stdout and not (tmp_path / "ft").exists()
 
     def test_verify_reports_checkpoint_facts(self, tmp_path, dataset, capsys):
         cfg = write_config(tmp_path, dataset)
@@ -327,6 +399,29 @@ class TestSweepEvaluateReport:
         assert row["run"] == "run-000" and row["nosuch.lr"] == "1"
         assert row["status"].startswith("failed: ")
         assert "unknown keys ['nosuch']" in row["status"]
+
+    def test_sweep_rows_come_from_the_runs(self, tmp_path, dataset, capsys):
+        cfg = write_config(tmp_path, dataset)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"model.architecture": ["Foo", "ResNet18_1D"],
+                                    "optimizer.lr": [0.001, 0.0005]}))
+        sweep_dir = tmp_path / "sweep"
+        assert cli("sweep", "--config", cfg, "--grid", grid, "--out", sweep_dir) == 0
+        with open(sweep_dir / "leaderboard.csv", newline="") as fh:
+            rows = {row["run"]: row for row in csv.DictReader(fh)}
+        assert sorted(rows) == [f"run-{i:03d}" for i in range(4)]
+        for name, row in rows.items():
+            run_dir = sweep_dir / name
+            if row["model.architecture"] == "'Foo'":
+                assert row["status"].startswith("failed: unknown architecture")
+                assert not run_dir.exists()
+                continue
+            assert row["status"] == "ok"
+            with open(run_dir / "history.csv", newline="") as fh:
+                best = max(float(r["val_f1"]) for r in csv.DictReader(fh))
+            metrics = json.loads((run_dir / "metrics.json").read_text())
+            assert float(row["val_f1"]) == best
+            assert float(row["test_f1"]) == metrics["f1"]
 
     def test_evaluate_outputs_report(self, tmp_path, dataset, capsys):
         cfg = write_config(tmp_path, dataset)

@@ -204,6 +204,12 @@ class TestSplits:
         all_idx = idx["train"] + idx["val"] + idx["test"]
         assert sorted(all_idx) == list(range(30))
 
+    def test_empty_split_rejected(self):
+        m = tiny_manifest(self.TASK, n=9)    # folds 1..9: no test records
+        with pytest.raises(SplitError,
+                           match=r"split 'test' \(folds \[10\]\) selects no records"):
+            split_indices(m, ptbxl_split(m))
+
     def test_bad_fold_ids_rejected(self):
         m = tiny_manifest(self.TASK, n=3, folds=[1, 2, 11])
         with pytest.raises(SplitError, match="outside 1..10"):

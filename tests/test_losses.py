@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ecglearn.errors import DataError, OptimizerError
+from ecglearn.config import LossConfig, config_from_dict
+from ecglearn.errors import ConfigError, DataError, OptimizerError
 from ecglearn.learn import (Adam, OptimizerConfig, class_weights_from_counts,
                             focal_loss, weighted_bce)
 from ecglearn.tensor import Parameter, Tensor, gradcheck
@@ -53,6 +54,19 @@ class TestFocalLoss:
     def test_nonbinary_targets_rejected(self):
         with pytest.raises(DataError, match="binary"):
             focal_loss(T64([[0.0]]), np.array([[0.5]]))
+
+    @pytest.mark.parametrize("gamma, alpha, message", [
+        (-1.0, 0.7, "gamma must be >= 0"), (math.nan, 0.7, "gamma must be >= 0"),
+        (2.0, 0.0, "alpha must be in"), (2.0, 1.5, "alpha must be in"),
+        (2.0, math.nan, "alpha must be in"),
+    ])
+    def test_bad_parameters_refused_by_loss_and_config(self, gamma, alpha, message):
+        with pytest.raises(DataError, match=message):
+            focal_loss(T64([[0.0]]), np.array([[1.0]]), gamma=gamma, alpha=alpha)
+        with pytest.raises(DataError, match=message):
+            LossConfig(gamma=gamma, alpha=alpha)
+        with pytest.raises(ConfigError, match="loss: " + message):
+            config_from_dict(LossConfig, {"gamma": gamma, "alpha": alpha}, "loss")
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gradient_matches_finite_differences(self, seed):

@@ -125,6 +125,22 @@ class TestSpecValidation:
     def test_case_insensitive_lookup(self):
         assert ModelSpec("crnn_gru", TASK1).architecture == "CRNN_GRU"
 
+    @pytest.mark.parametrize("key, value", [
+        ("base_width", 0), ("base_width", -2), ("base_width", 2.5),
+        ("base_width", True), ("base_width", "x"), ("num_layers", None),
+        ("dropout", 1.0), ("dropout", -0.1), ("dropout", float("nan")),
+        ("dropout", False), ("dropout", "0.1"),
+    ])
+    def test_hyperparameter_value_refused(self, key, value):
+        with pytest.raises(ModelError, match=rf"ResTransformer: hyperparameter "
+                                             rf"'{key}' must be .*got {value!r}"):
+            ModelSpec("ResTransformer", TASK1, {key: value})
+
+    @pytest.mark.parametrize("hp", [{"base_width": 1}, {"dropout": 0},
+                                    {"dropout": 0.0}, {"dropout": 0.99}])
+    def test_hyperparameter_edge_values_accepted(self, hp):
+        assert ModelSpec("ResTransformer", TASK1, hp).hyperparams.items() >= hp.items()
+
     def test_attention_width_coupling(self):
         with pytest.raises(ModelError, match="must equal the feature width"):
             build(ModelSpec("AttResNet", TASK5,

@@ -1,5 +1,6 @@
 """Checkpoint round-trips, head adaptation, and freeze semantics."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -61,6 +62,21 @@ def rewrite_header(path, edit):
     path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[end:])
 
 
+def with_spec(edit):
+    """Replace the header's spec with ``edit(spec)`` and re-fingerprint it, so
+    that only the model-description check can refuse the header."""
+    def rewrite(header):
+        spec = edit(header["spec"])
+        canonical = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+        return {**header, "spec": spec,
+                "fingerprint": hashlib.sha256(canonical.encode()).hexdigest()}
+    return rewrite
+
+
+def with_hyperparam(key, value):
+    return with_spec(lambda s: {**s, "hyperparams": {**s["hyperparams"], key: value}})
+
+
 def without(key):
     return lambda header: {k: v for k, v in header.items() if k != key}
 
@@ -92,6 +108,11 @@ MALFORMED_CKPT_HEADERS = {
        for key in ("version", "spec", "fingerprint", "tensors")},
     "spec-list": lambda header: {**header, "spec": []},
     "spec-no-task": lambda header: {**header, "spec": without("task")(header["spec"])},
+    "spec-unknown-architecture": with_spec(lambda s: {**s, "architecture": "Foo"}),
+    "spec-bad-class-name": with_spec(lambda s: {
+        **s, "task": {**s["task"], "classes": ["bad name!", *s["task"]["classes"][1:]]}}),
+    "spec-base-width-zero": with_hyperparam("base_width", 0),
+    "spec-base-width-fraction": with_hyperparam("base_width", 2.5),
     "tensors-int": lambda header: {**header, "tensors": 5},
     "tensor-no-nbytes": each_tensor(without("nbytes")),
     "tensor-bad-dtype": each_tensor(lambda t: {**t, "dtype": "<i9"}),
