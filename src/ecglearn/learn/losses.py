@@ -26,9 +26,9 @@ def _binary_targets(targets, logits: Tensor) -> np.ndarray:
 
 
 def _check_focal_params(gamma: float, alpha: float):
-    """gamma >= 0 and alpha in (0, 1); NaN fails both."""
-    if not gamma >= 0:
-        raise DataError(f"gamma must be >= 0, got {gamma}")
+    """gamma >= 0 and finite, alpha in (0, 1); NaN fails both."""
+    if not 0 <= gamma < np.inf:
+        raise DataError(f"gamma must be >= 0 and finite, got {gamma}")
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
 

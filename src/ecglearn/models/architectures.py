@@ -1,9 +1,10 @@
 """The nine classifier architectures and the build entry point.
 
-Every network is organized as ``backbone`` (feature extraction to a fixed
-vector) plus ``head`` (one linear layer emitting raw logits; sigmoid/softmax
-live inside losses and metrics). The "head." name prefix is the contract used
-by checkpoint head-swapping and fine-tune freezing.
+A built ``Model`` is itself the root module. Its two children are
+``backbone`` (feature extraction to a fixed vector) and ``head`` (one linear
+layer emitting raw logits; sigmoid/softmax live inside losses and metrics).
+The "head." name prefix is the contract used by checkpoint head-swapping and
+fine-tune freezing.
 
 CNN families (AlexNet, VGG11-bn, ResNet18) use 1-d convolutions over the 12
 input channels and global average pooling before the head. The input grid
@@ -224,17 +225,6 @@ class ResTransformerBackbone(_ResNetTokens, _EncoderStack):
         return self._encode(self._tokens(x))
 
 
-class Classifier(Module):
-    def __init__(self, backbone: Module, k: int, rng, dtype):
-        super().__init__()
-        self.backbone = backbone
-        self.head = Linear(backbone.out_features, k, rng, dtype,
-                           init_kind="xavier")
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.head(self.backbone(x))
-
-
 _BUILDERS = {
     "AlexNet1D": AlexNetBackbone,
     "VGG11bn1D": VggBackbone,
@@ -254,17 +244,33 @@ _MIN_INPUT_LEN = {
 }
 
 
-class Model:
-    """A built network: spec, parameter namespace, and train/eval mode."""
+class Model(Module):
+    """A built network: the root module, with children ``backbone`` and
+    ``head``, plus its spec, seed, input checks, modes and freezing.
 
-    def __init__(self, spec: ModelSpec, net: Module, seed: int):
+    Made only by ``build``.
+    """
+
+    head_prefix = HEAD_PREFIX
+
+    def __init__(self, spec: ModelSpec, seed: int, dtype):
+        super().__init__()
         self.spec = spec
-        self.net = net
         self.seed = seed
         self.min_input_len = _MIN_INPUT_LEN[spec.architecture]
-        self.head_prefix = HEAD_PREFIX
-        for name, p in net.named_parameters():
+        # the head draws from the stream after the backbone
+        rng = substream(seed, "model-init", spec.architecture)
+        self.backbone = _BUILDERS[spec.architecture](spec.hyperparams, rng, dtype)
+        self.head = Linear(self.backbone.out_features, spec.k, rng, dtype,
+                           init_kind="xavier")
+        for name, p in self.named_parameters().items():
             p.name = name
+
+    @property
+    def net(self) -> "Model":
+        """The model itself. Kept for perfbench's tracer, which reads
+        ``model.net.training``; nothing in the package reads it."""
+        return self
 
     def forward(self, x) -> Tensor:
         """Logits for x [B, 12, L]. An array x is wrapped, not copied, and
@@ -279,39 +285,19 @@ class Model:
             raise ShapeError(
                 f"{self.spec.architecture} requires input length >= "
                 f"{self.min_input_len}, got {x.shape[2]}")
-        return self.net(x)
+        return self.head(self.backbone(x))
 
-    __call__ = forward
-
-    # -- mode and state --------------------------------------------------------
+    # -- mode ------------------------------------------------------------------
 
     def train_mode(self) -> "Model":
-        self.net.train(True)
-        return self
+        return self.train(True)
 
     def eval_mode(self) -> "Model":
-        self.net.train(False)
-        return self
-
-    def named_parameters(self) -> "OrderedDict[str, Parameter]":
-        return OrderedDict(self.net.named_parameters())
+        return self.train(False)
 
     def trainable_parameters(self) -> "OrderedDict[str, Parameter]":
-        return OrderedDict((n, p) for n, p in self.net.named_parameters()
+        return OrderedDict((n, p) for n, p in self.named_parameters().items()
                            if p.requires_grad)
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return self.net.state_dict()
-
-    def load_state_dict(self, state: dict[str, np.ndarray]):
-        self.net.load_state_dict(state)
-
-    def zero_grad(self):
-        self.net.zero_grad()
-
-    def astype(self, dtype) -> "Model":
-        self.net.astype(dtype)
-        return self
 
     # -- freezing ----------------------------------------------------------------
 
@@ -321,17 +307,16 @@ class Model:
     def freeze_backbone(self) -> "Model":
         """Make only head parameters trainable; backbone stays in eval mode
         (so normalization statistics and dropout cannot change it)."""
-        for name, p in self.net.named_parameters():
-            if not name.startswith(self.head_prefix):
-                p.requires_grad = False
-        self.net.backbone.force_eval = True
-        self.net.backbone.train(False)
+        for p in self.backbone.parameters():
+            p.requires_grad = False
+        self.backbone.force_eval = True
+        self.backbone.train(False)
         return self
 
     def unfreeze_all(self) -> "Model":
-        for p in self.net.parameters():
+        for p in self.parameters():
             p.requires_grad = True
-        self.net.backbone.force_eval = False
+        self.backbone.force_eval = False
         return self
 
 
@@ -343,10 +328,7 @@ def build(spec: ModelSpec, seed: int, dtype=np.float32) -> Model:
     and head projections use Xavier-uniform; norm layers start at
     gamma=1/beta=0; biases start at zero.
     """
-    rng = substream(seed, "model-init", spec.architecture)
-    backbone = _BUILDERS[spec.architecture](spec.hyperparams, rng, dtype)
-    net = Classifier(backbone, spec.k, rng, dtype)
-    return Model(spec, net, seed)
+    return Model(spec, seed, dtype)
 
 
 def summarize_parameters(model: Model) -> tuple[list[tuple[str, tuple, int]], int]:

@@ -13,7 +13,8 @@ every layer looks its op up there at call time.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from collections import OrderedDict
+from typing import Iterator
 
 import numpy as np
 
@@ -58,43 +59,37 @@ class Module:
 
     # -- traversal -------------------------------------------------------------
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
-        for name, p in self._params.items():
-            yield prefix + name, p
+    def _walk(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
+        """(name prefix, module) for this module and every descendant, pre-order."""
+        yield prefix, self
         for cname, child in self._modules.items():
-            yield from child.named_parameters(prefix + cname + ".")
+            yield from child._walk(prefix + cname + ".")
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for name, b in self._buffers.items():
-            yield prefix + name, b
-        for cname, child in self._modules.items():
-            yield from child.named_buffers(prefix + cname + ".")
+    def _named(self, store: str) -> OrderedDict:
+        return OrderedDict((prefix + name, value) for prefix, m in self._walk()
+                           for name, value in getattr(m, store).items())
+
+    def named_parameters(self) -> "OrderedDict[str, Parameter]":
+        return self._named("_params")
+
+    def named_buffers(self) -> "OrderedDict[str, np.ndarray]":
+        return self._named("_buffers")
 
     def parameters(self) -> list[Parameter]:
-        return [p for _, p in self.named_parameters()]
-
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for child in self._modules.values():
-            yield from child.modules()
-
-    def apply(self, fn: Callable[["Module"], None]) -> "Module":
-        for m in self.modules():
-            fn(m)
-        return self
+        return list(self.named_parameters().values())
 
     # -- state -------------------------------------------------------------------
 
     def state_dict(self) -> dict[str, np.ndarray]:
         """Copies of every parameter and buffer, keyed by hierarchical name."""
-        out = {name: p.data.copy() for name, p in self.named_parameters()}
-        for name, b in self.named_buffers():
+        out = {name: p.data.copy() for name, p in self.named_parameters().items()}
+        for name, b in self.named_buffers().items():
             out[name] = b.copy()
         return out
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        own_params = dict(self.named_parameters())
-        own_buffers = dict(self.named_buffers())
+        own_params = self.named_parameters()
+        own_buffers = self.named_buffers()
         own = set(own_params) | set(own_buffers)
         missing = own - set(state)
         unexpected = set(state) - own
@@ -131,7 +126,7 @@ class Module:
         for p in self.parameters():
             p.data = p.data.astype(dtype)
             p.grad = None
-        for m in self.modules():
+        for _, m in self._walk():
             for name, b in m._buffers.items():
                 if np.issubdtype(b.dtype, np.floating):
                     m._buffers[name] = b.astype(dtype)

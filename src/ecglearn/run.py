@@ -48,6 +48,8 @@ def default_output_root() -> Path:
 
 def _free_run_dir(cfg: RunConfig, name_hint: str) -> Path:
     out = Path(cfg.out_dir) if cfg.out_dir else default_output_root() / name_hint
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"run directory {out} exists and is not a directory")
     if out.exists() and any(out.iterdir()):
         raise ConfigError(f"run directory {out} already exists and is not empty")
     return out

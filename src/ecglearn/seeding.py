@@ -13,6 +13,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["substream", "child_rng"]
 
 
@@ -27,9 +29,13 @@ def substream(seed: int, *path) -> np.random.Generator:
 
     Path elements may be ints or short strings (hashed with crc32, which is
     stable across platforms). Same inputs always produce the same stream.
+    Every seeded path comes here, so this is where a negative seed is refused.
     """
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     key = tuple(_path_element(x) for x in path)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -65,28 +65,33 @@ def move_class_out_of_train(dataset, name):
     path.write_text("\n".join([header, *rows]) + "\n")
 
 
-# train settings refused before the run directory exists: (the --set items,
-# the same items with the setting fixed, what the error says)
+# train settings refused before the run directory exists: (the arguments,
+# the same arguments with the setting fixed, what the error says)
 TRAIN_REFUSALS = {
-    "unknown-architecture": (["model.architecture=Foo"],
-                             ["model.architecture=ResNet18_1D"],
+    "unknown-architecture": (set_args(["model.architecture=Foo"]),
+                             set_args(["model.architecture=ResNet18_1D"]),
                              "unknown architecture 'Foo'"),
-    "base-width-zero": (['model.hyperparams={"base_width": 0}'],
-                        ['model.hyperparams={"base_width": 4}'],
+    "base-width-zero": (set_args(['model.hyperparams={"base_width": 0}']),
+                        set_args(['model.hyperparams={"base_width": 4}']),
                         "'base_width' must be an integer >= 1, got 0"),
-    "alpha-above-one": (["loss.alpha=1.5"], ["loss.alpha=0.5"],
+    "alpha-above-one": (set_args(["loss.alpha=1.5"]), set_args(["loss.alpha=0.5"]),
                         "alpha must be in (0, 1), got 1.5"),
-    "empty-test-split": (["split.train_folds=[1,2,3,4,5,6,7,8,10]",
-                          "split.test_folds=[11]"],
-                         ["split.train_folds=[1,2,3,4,5,6,7,8]",
-                          "split.test_folds=[10]"],
+    "gamma-infinite": (set_args(["loss.gamma=Infinity"]),
+                       set_args(["loss.gamma=2.0"]),
+                       "gamma must be >= 0 and finite, got inf"),
+    "empty-test-split": (set_args(["split.train_folds=[1,2,3,4,5,6,7,8,10]",
+                                   "split.test_folds=[11]"]),
+                         set_args(["split.train_folds=[1,2,3,4,5,6,7,8]",
+                                   "split.test_folds=[10]"]),
                          "split 'test' (folds [11]) selects no records"),
-    "segment-len-zero": (["preprocess.segment_len=0"],
-                         ["preprocess.segment_len=96"],
+    "segment-len-zero": (set_args(["preprocess.segment_len=0"]),
+                         set_args(["preprocess.segment_len=96"]),
                          "segment_len must be >= 1, got 0"),
+    "seed-negative": (["--seed", "-1"], ["--seed", "1"],
+                      "seed must be a non-negative integer, got -1"),
     # the dataset holds no class-c1 record in a train fold
-    "weighted-bce-no-train-positives": (["loss.kind=weighted_bce"],
-                                        ["loss.kind=focal"],
+    "weighted-bce-no-train-positives": (set_args(["loss.kind=weighted_bce"]),
+                                        set_args(["loss.kind=focal"]),
                                         "classes [1] have no positive examples"),
 }
 
@@ -158,6 +163,15 @@ class TestPrepare:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--length" in err
+        assert not (tmp_path / "d").exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        rc = cli("prepare", "--out", tmp_path / "d", "--synthetic",
+                 "--classes", 2, "--per-class", 24, "--length", 400, "--seed", -1)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "seed must be a non-negative integer, got -1" in err
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("fold", ["x", "2.5", ""])
@@ -263,13 +277,31 @@ class TestTrain:
         out = tmp_path / "run"
         argv = ["train", "--config", write_config(tmp_path, dataset), "--out", out]
         # in process, an unhandled error (a traceback) would raise out of cli()
-        assert cli(*argv, *set_args(bad)) == 2
+        assert cli(*argv, *bad) == 2
         stdout, err = capsys.readouterr()
         assert err.startswith("error: ") and message in err
         assert "epoch" not in stdout
         assert not out.exists()
-        assert cli(*argv, *set_args(fixed)) == 0
+        assert cli(*argv, *fixed) == 0
         assert (out / "metrics.json").exists()
+
+    @pytest.mark.parametrize("verb", ["train", "sweep"])
+    def test_out_naming_a_file_refused(self, tmp_path, dataset, capsys, verb):
+        out = tmp_path / "afile"
+        out.write_text("x")
+        argv = [verb, "--config", write_config(tmp_path, dataset), "--out", out]
+        if verb == "sweep":
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"optimizer.lr": [0.001]}))
+            argv += ["--grid", grid]
+        before = sorted(tmp_path.rglob("*"))
+        assert cli(*argv) == 2
+        stdout, err = capsys.readouterr()
+        assert err.startswith("error: ")
+        assert f"run directory {out} exists and is not a directory" in err
+        assert "epoch" not in stdout
+        assert sorted(tmp_path.rglob("*")) == before
+        assert out.read_text() == "x"
 
     def test_snapshot_rerun_reproduces_history(self, tmp_path, dataset):
         cfg = write_config(tmp_path, dataset)
@@ -333,8 +365,7 @@ class TestFinetuneAndVerify:
         capsys.readouterr()
         bad, _, message = TRAIN_REFUSALS["empty-test-split"]
         rc = cli("finetune", "--config", cfg, "--out", tmp_path / "ft",
-                 "--from-checkpoint", pre / "best.ckpt", "--mode", "all",
-                 *set_args(bad))
+                 "--from-checkpoint", pre / "best.ckpt", "--mode", "all", *bad)
         assert rc == 2
         stdout, err = capsys.readouterr()
         assert err.startswith("error: ") and message in err

@@ -57,6 +57,7 @@ class TestFocalLoss:
 
     @pytest.mark.parametrize("gamma, alpha, message", [
         (-1.0, 0.7, "gamma must be >= 0"), (math.nan, 0.7, "gamma must be >= 0"),
+        (math.inf, 0.7, "gamma must be >= 0"), (-math.inf, 0.7, "gamma must be >= 0"),
         (2.0, 0.0, "alpha must be in"), (2.0, 1.5, "alpha must be in"),
         (2.0, math.nan, "alpha must be in"),
     ])

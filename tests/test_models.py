@@ -210,6 +210,21 @@ class TestParameterSummary:
         assert all(n.startswith("backbone.") for n in names - heads)
 
 
+class TestAstype:
+    @pytest.mark.parametrize("arch", sorted(SMALL_HP))
+    def test_float64_cast_is_in_place_and_exact(self, arch):
+        model = build(ModelSpec(arch, TASK5, SMALL_HP[arch]), seed=0)
+        before = model.state_dict()
+        assert model.astype(np.float64) is model
+        assert all(p.dtype == np.float64 and p.grad is None
+                   for p in model.parameters())
+        after = model.state_dict()
+        assert list(after) == list(before)
+        for name, value in after.items():
+            assert value.dtype == np.float64, name
+            assert value.tobytes() == before[name].astype(np.float64).tobytes()
+
+
 # build(ModelSpec(arch, TASK5, hp), seed=3): parameter count, then sha256 of
 # the parameter names in registration order and of the JSON of its
 # tensor_hashes. Names are the checkpoint keys and the registration order
