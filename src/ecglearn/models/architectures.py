@@ -68,6 +68,11 @@ class AlexNetBackbone(Module):
 
 
 class VggBackbone(Module):
+    """Conv → BN → ReLU stages as ``Sequential`` slots. The batchnorms do not
+    take their ReLU in (as the ResNet's do): dropping the ``ReLU`` slots
+    would renumber ``features`` and so rename every later checkpoint
+    tensor."""
+
     def __init__(self, hp, rng, dtype):
         super().__init__()
         w = hp["width"]

@@ -234,11 +234,12 @@ class _BatchNorm(Module):
         self.register_buffer("running_mean", init.zeros(channels, dtype))
         self.register_buffer("running_var", init.zeros(channels, dtype))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, residual: Tensor | None = None,
+                relu: bool = False) -> Tensor:
         return F.batchnorm(x, self.gamma, self.beta,
                            self.running_mean, self.running_var,
                            training=self.training, momentum=self.momentum,
-                           eps=self.eps)
+                           eps=self.eps, residual=residual, relu=relu)
 
 
 BatchNorm1d = BatchNorm2d = _BatchNorm

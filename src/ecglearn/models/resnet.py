@@ -4,6 +4,11 @@ Square kernels become length-k 1-d kernels with the usual counts and strides:
 a 7-wide stride-2 stem over 12 input channels, four stages of two basic
 blocks, channel widths [w, 2w, 4w, 8w]. The backbone returns the pre-pool
 feature map [B, 8w, T/32]; heads and sequence consumers attach downstream.
+
+Each ReLU, and each block's residual add, runs inside the batchnorm before
+it (``bn(x, residual=..., relu=True)``), one graph node that keeps no
+pre-activation array; the outputs are those of the separate ops, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -34,9 +39,9 @@ class BasicBlock1d(Module):
             self.down_bn = BatchNorm1d(out_ch, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.bn2(self.conv2(F.relu(self.bn1(self.conv1(x)))))
+        h = self.bn1(self.conv1(x), relu=True)
         shortcut = self.down_bn(self.down_conv(x)) if self.has_downsample else x
-        return F.relu(out + shortcut)
+        return self.bn2(self.conv2(h), residual=shortcut, relu=True)
 
 
 class ResNetBackbone1d(Module):
@@ -59,7 +64,7 @@ class ResNetBackbone1d(Module):
         self.out_channels = 8 * w
 
     def forward(self, x: Tensor) -> Tensor:
-        x = F.maxpool1d(F.relu(self.bn1(self.conv1(x))), 3, stride=2, padding=1)
+        x = F.maxpool1d(self.bn1(self.conv1(x), relu=True), 3, stride=2, padding=1)
         for si in range(4):
             x = getattr(self, f"layer{si + 1}_0")(x)
             x = getattr(self, f"layer{si + 1}_1")(x)

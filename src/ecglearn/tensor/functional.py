@@ -13,16 +13,20 @@ derived window array: a convolution rebuilds its im2col matrix (and a
 depthwise convolution its padded windows) from the input in backward, with
 the same code and so the same bytes, rather than holding them from forward
 to backward. 1-d ops run the 2-d kernels on height-1 views inside that
-one node. Batch
-and layer normalization are one node, ``_normalize``, over different axes;
-``_moments`` reproduces numpy's mean and variance arithmetic and hands x - mu
-on, so it is computed once. relu is ``fmax(x, 0)`` plus an in-place +0,
-which maps NaN, -inf and -0.0 to +0.0 exactly as ``np.where(x > 0, x, 0)``
-does, without keeping a mask. These forms keep every floating-point
-operation and summation order of the plain formulas, so outputs and
-gradients are bit-identical to them. Every op validates its shape algebra up
-front and raises ShapeError naming the op and the offending dimensions; a
-conforming call always produces the documented output shape.
+one node. Batch and layer normalization are one node, ``_normalize``, over
+different axes; ``_moments`` reproduces numpy's mean and variance arithmetic
+and hands x - mu on, so it is computed once. Normalization keeps no
+activation-sized array beside its input and output: backward rebuilds x̂
+from the input with the forward's two operations. Batchnorm can also add a
+residual and apply relu in place (``batchnorm(..., residual=r, relu=True)``),
+so BN → add → ReLU is one node that keeps no pre-activation array. relu is
+``fmax(x, 0)`` plus an in-place +0, which maps NaN, -inf and -0.0 to +0.0
+exactly as ``np.where(x > 0, x, 0)`` does, without keeping a mask. These
+forms keep every floating-point operation and summation order of the plain
+formulas, so outputs and gradients are bit-identical to them. Every op
+validates its shape algebra up front and raises ShapeError naming the op
+and the offending dimensions; a conforming call always produces the
+documented output shape.
 """
 
 from __future__ import annotations
@@ -44,9 +48,14 @@ __all__ = [
 # activations
 
 
+def _rectify(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.fmax(a, 0, out=out)     # NaN and -inf give 0
+    out += 0                         # -0.0 becomes +0.0
+    return out
+
+
 def relu(x: Tensor) -> Tensor:
-    data = np.fmax(x.data, 0)        # NaN and -inf give 0
-    data += 0                        # -0.0 becomes +0.0
+    data = _rectify(x.data)
     return Tensor._from_op(data, (x,), lambda g: (g * (data > 0),))
 
 
@@ -380,14 +389,21 @@ def _moments(x: np.ndarray, axes: tuple):
     return mu, var, d
 
 
-def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, d: np.ndarray, var,
-               eps: float, stat_axes: tuple, param_axes: tuple,
-               batch_stats: bool) -> Tensor:
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, mu: np.ndarray,
+               d: np.ndarray, var, eps: float, stat_axes: tuple,
+               param_axes: tuple, batch_stats: bool,
+               residual: Tensor | None = None, relu: bool = False) -> Tensor:
     """gamma * d / sqrt(var + eps) + beta for ``d`` = x - mu, a fresh array
     this node takes over; gamma and beta broadcast over (and their gradients
     sum over) ``param_axes``. With ``batch_stats``, mu and var are x's own
-    statistics over ``stat_axes`` and dx takes their terms. Temporaries are
-    reused in place; every operation and its order is the plain formula's."""
+    statistics over ``stat_axes`` and dx takes their terms. ``residual`` is
+    then added and ``relu`` applied in place, as ``relu(out + residual)``
+    computes them, so the output is the only activation-sized array the node
+    holds. The closure keeps x's array, mu and inv_std: backward rebuilds
+    x̂ = (x - mu) * inv_std with the forward's two operations, masks g by
+    the output when ``relu``, and passes that g on as the residual's
+    gradient. Temporaries are reused in place; every operation and its
+    order is the plain formulas'."""
     pshape = tuple(1 if a in param_axes else n for a, n in enumerate(x.shape))
     gam = gamma.data.reshape(pshape)
     bet = beta.data.reshape(pshape)
@@ -396,9 +412,21 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, d: np.ndarray, var,
     data = xhat * gam
     data += bet
     data = data.astype(x.dtype, copy=False)
+    parents = (x, gamma, beta)
+    if residual is not None:
+        data += residual.data
+        parents += (residual,)
+    if relu:
+        _rectify(data, out=data)
+    has_residual = residual is not None
+    xd = x.data
     n = int(np.prod([x.shape[a] for a in stat_axes]))
 
     def backward(g):
+        if relu:
+            g = g * (data > 0)
+        xhat = np.subtract(xd, mu)
+        xhat *= inv_std
         dbeta = g.sum(axis=param_axes)
         tmp = g * xhat
         dgamma = tmp.sum(axis=param_axes)
@@ -413,27 +441,36 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, d: np.ndarray, var,
             dx *= inv_std / n
         else:
             dx *= inv_std
-        return np.ascontiguousarray(dx), dgamma, dbeta
+        grads = (np.ascontiguousarray(dx), dgamma, dbeta)
+        return grads + (g,) if has_residual else grads
 
-    return Tensor._from_op(data, (x, gamma, beta), backward)
+    return Tensor._from_op(data, parents, backward)
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
               running_mean: np.ndarray, running_var: np.ndarray,
               training: bool, momentum: float = 0.1, eps: float = 1e-5,
-              update_stats: bool = True) -> Tensor:
+              update_stats: bool = True, residual: Tensor | None = None,
+              relu: bool = False) -> Tensor:
     """Batch normalization over all axes except channel (axis 1).
 
     Works for [B, C, L] and [B, C, H, W]. In training mode the batch mean and
     (biased) variance normalize the activations and, unless stats are frozen,
     update the running buffers in place. Eval mode requires populated running
-    stats and normalizes with them.
+    stats and normalizes with them; the node keeps its own copy of the
+    running mean, so a later update cannot change what backward reads.
+    ``residual`` (same shape as x) is added to the output and ``relu``
+    then applied, in this one node: ``batchnorm(x, ..., residual=r,
+    relu=True)`` equals ``relu(batchnorm(x, ...) + r)`` bit for bit.
     """
     if x.ndim not in (3, 4):
         raise ShapeError(f"batchnorm expects [B,C,L] or [B,C,H,W], got {x.shape}")
     C = x.shape[1]
     if gamma.shape != (C,) or beta.shape != (C,):
         raise ShapeError(f"batchnorm: gamma/beta must have shape ({C},)")
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeError(f"batchnorm: residual shape {residual.shape} "
+                         f"differs from input {x.shape}")
     axes = (0,) + tuple(range(2, x.ndim))
     if training:
         mu, var, d = _moments(x.data, axes)
@@ -444,9 +481,11 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor,
         if not np.any(running_var):
             raise ShapeError("batchnorm eval mode requires populated running stats")
         pshape = (1, C) + (1,) * (x.ndim - 2)
+        mu = running_mean.reshape(pshape).copy()
         var = running_var.reshape(pshape)
-        d = x.data - running_mean.reshape(pshape)
-    return _normalize(x, gamma, beta, d, var, eps, axes, axes, training)
+        d = x.data - mu
+    return _normalize(x, gamma, beta, mu, d, var, eps, axes, axes, training,
+                      residual, relu)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -454,6 +493,6 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     H = x.shape[-1]
     if gamma.shape != (H,) or beta.shape != (H,):
         raise ShapeError(f"layernorm: gamma/beta must have shape ({H},)")
-    _, var, d = _moments(x.data, (x.ndim - 1,))
-    return _normalize(x, gamma, beta, d, var, eps, (x.ndim - 1,),
+    mu, var, d = _moments(x.data, (x.ndim - 1,))
+    return _normalize(x, gamma, beta, mu, d, var, eps, (x.ndim - 1,),
                       tuple(range(x.ndim - 1)), True)

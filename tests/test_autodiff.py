@@ -14,8 +14,10 @@ from oracles import (oracle_avgpool1d, oracle_avgpool1d_grad,
                      oracle_conv1d, oracle_conv1d_grads, oracle_conv2d,
                      oracle_conv2d_grads, oracle_depthwise_conv2d,
                      oracle_depthwise_conv2d_grads, oracle_gradcheck,
-                     oracle_layernorm, oracle_maxpool1d, oracle_maxpool1d_grad)
+                     oracle_layernorm, oracle_maxpool1d, oracle_maxpool1d_grad,
+                     oracle_relu)
 from test_acceptance import ARCH_GRADCHECK_HP, _primitive_cases
+from test_models import fused_oracle
 
 
 def T64(arr, **kw):
@@ -192,6 +194,30 @@ class TestGradcheckPrimitives:
 
         self._check(f_eval, (4, 3, 6), seed)
 
+    @pytest.mark.parametrize("shape", [(4, 3, 6), (3, 2, 3, 4)])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_residual_relu(self, shape, training):
+        rng = np.random.default_rng(len(shape) + training)
+        C = shape[1]
+        params = {"x": T64(rng.normal(size=shape), requires_grad=True),
+                  "gamma": T64(rng.normal(size=C) + 1.5, requires_grad=True),
+                  "beta": T64(rng.normal(size=C), requires_grad=True),
+                  "residual": T64(rng.normal(size=shape), requires_grad=True)}
+        rm, rv = rng.normal(size=C), np.abs(rng.normal(size=C)) + 0.5
+        mix = rng.normal(size=shape)
+
+        def bn(relu):
+            return F.batchnorm(params["x"], params["gamma"], params["beta"],
+                               rm.copy(), rv.copy(), training=training,
+                               residual=params["residual"], relu=relu)
+
+        # keep every relu input clear of the kink the finite steps could cross
+        near = np.abs(bn(False).data) < 0.05
+        params["residual"].data[near] += 0.1
+        report = param_gradcheck(lambda: (bn(True) * mix).sum(), params,
+                                 samples_per_param=None)
+        assert report.passed, report.per_param
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_layernorm(self, seed):
         rng = np.random.default_rng(seed + 31)
@@ -293,13 +319,18 @@ PADS_2D = [((1, 1), (0, 0), (3, 3)),
            ((1, 3), (1, (2, 0)), (3, 2))]
 
 
-def norm_outputs(op, x, gamma, beta, *buffers, **kw):
-    """Output and x, gamma, beta gradients of a normalization op under a fixed
-    random upstream gradient, then the (possibly updated) running buffers."""
+def norm_outputs(op, x, gamma, beta, *buffers, residual=None, **kw):
+    """Output and x, gamma, beta (and residual) gradients of a normalization
+    op under a fixed random upstream gradient, then the (possibly updated)
+    running buffers."""
     leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+    if residual is not None:
+        kw["residual"] = Tensor(residual.copy(), requires_grad=True)
     out = op(*leaves, *buffers, **kw)
     g = np.random.default_rng(1).normal(size=out.shape).astype(out.dtype)
     (out * Tensor(g)).sum().backward()
+    if residual is not None:
+        leaves.append(kw["residual"])
     return [out.data] + [t.grad for t in leaves] + list(buffers)
 
 
@@ -326,6 +357,51 @@ class TestNormalizationMatchesOracle:
         assert_bitwise(got, want)
         stats_moved = not np.array_equal(got[4], mean0)
         assert stats_moved == (mode == "train")
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(4, 6, 33), (3, 5, 4, 7)])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_batchnorm_residual_relu(self, dtype, shape, training, relu):
+        """The fused node against oracle_batchnorm, ``+ residual`` and
+        oracle_relu: output, the four gradients and the running buffers."""
+        rng = np.random.default_rng(sum(shape) + 1)
+        C = shape[1]
+        x, gamma, beta, residual = ((rng.normal(size=s) * 3 + 1).astype(dtype)
+                                    for s in (shape, (C,), (C,), shape))
+        mean0 = rng.normal(size=C).astype(dtype)
+        var0 = rng.uniform(0.5, 2.0, size=C).astype(dtype)
+        kw = {"training": training, "momentum": 0.3, "residual": residual,
+              "relu": relu}
+        got = norm_outputs(F.batchnorm, x, gamma, beta, mean0.copy(),
+                           var0.copy(), **kw)
+        want = norm_outputs(fused_oracle(lambda: oracle_relu), x, gamma, beta,
+                            mean0.copy(), var0.copy(), **kw)
+        assert_bitwise(got, want)
+
+    def test_eval_backward_ignores_a_later_stats_update(self):
+        """An eval-mode node keeps its own running mean: a training forward
+        that moves the buffers before backward changes no gradient bit."""
+        rng = np.random.default_rng(5)
+        x, residual = (Tensor(rng.normal(size=(4, 3, 10)), requires_grad=True)
+                       for _ in range(2))
+        gamma = Tensor(rng.normal(size=3) + 1.5, requires_grad=True)
+        beta = Tensor(rng.normal(size=3), requires_grad=True)
+        rm, rv = rng.normal(size=3), rng.uniform(0.5, 2.0, size=3)
+        mix = Tensor(rng.normal(size=(4, 3, 10)))
+        loss = (F.batchnorm(x, gamma, beta, rm, rv, training=False,
+                            residual=residual, relu=True) * mix).sum()
+        leaves = (x, gamma, beta, residual)
+        loss.backward()
+        before = [t.grad.copy() for t in leaves]
+        rm0 = rm.copy()
+        F.batchnorm(Tensor(rng.normal(size=(4, 3, 10)) + 5), gamma, beta, rm, rv,
+                    training=True, momentum=0.5)
+        assert not np.array_equal(rm, rm0)
+        for t in leaves:
+            t.grad = None
+        loss.backward()
+        assert_bitwise([t.grad for t in leaves], before)
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("shape", [(9,), (5, 8), (2, 7, 16), (2, 3, 4, 6)])

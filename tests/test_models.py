@@ -264,6 +264,18 @@ class TestCheckpointCompatibility:
         assert sha256_hex(json.dumps(hashes, sort_keys=True)) == hashes_digest
 
 
+def fused_oracle(relu_op):
+    """F.batchnorm's ``residual``/``relu`` call composed from the frozen
+    nodes: oracle_batchnorm, then ``+ residual`` through ``Tensor.__add__``,
+    then the relu that ``relu_op()`` names at call time."""
+    def op(*args, residual=None, relu=False, **kw):
+        out = oracle_batchnorm(*args, **kw)
+        if residual is not None:
+            out = out + residual
+        return relu_op()(out) if relu else out
+    return op
+
+
 NORM_STEP_HP = {
     "ResNet18_1D": {"base_width": 4},
     "EEGNet2D": {"f1": 2, "depth_mult": 2, "f2": 4, "kern_length": 17},
@@ -302,7 +314,8 @@ class TestNormalizationStepMatchesOracle:
                 return oracle(*args, **kw)
             return op
 
-        monkeypatch.setattr(F, "batchnorm", counted("batchnorm", oracle_batchnorm))
+        monkeypatch.setattr(F, "batchnorm",
+                            counted("batchnorm", fused_oracle(lambda: oracle_relu)))
         monkeypatch.setattr(F, "layernorm", counted("layernorm", oracle_layernorm))
         want = self.step(arch)
         assert calls["layernorm" if arch == "TransformerEnc" else "batchnorm"] > 0
@@ -337,9 +350,11 @@ def oracle_maxpool1d_op(x, kernel, stride=None, padding=0):
 
 class TestFrontEndStepMatchesOracle:
     """One ResNet18_1D training step and eval pass at the default width and
-    full record length, through the library's relu, conv1d, maxpool1d and
-    batchnorm and again through their frozen forms. At this size the layer4
-    GEMMs reduce over 1,536 terms, so BLAS runs its blocked path."""
+    full record length, through the library's conv1d, maxpool1d and fused
+    batchnorm (+ residual, relu) and again through their frozen forms; the
+    frozen relu runs through the patched ``F.relu``, so it is counted. At
+    this size the layer4 GEMMs reduce over 1,536 terms, so BLAS runs its
+    blocked path."""
 
     @staticmethod
     def step():
@@ -358,7 +373,8 @@ class TestFrontEndStepMatchesOracle:
     def test_loss_gradients_buffers_logits_bitwise(self, monkeypatch):
         got = self.step()
         oracles = {"relu": oracle_relu, "conv1d": oracle_conv1d_op,
-                   "maxpool1d": oracle_maxpool1d_op, "batchnorm": oracle_batchnorm}
+                   "maxpool1d": oracle_maxpool1d_op,
+                   "batchnorm": fused_oracle(lambda: F.relu)}
         calls = dict.fromkeys(oracles, 0)
 
         def counted(name):
@@ -397,25 +413,35 @@ class TestTinyGradcheck:
         assert report.passed, f"rel err {report.max_rel_err} at {report.worst_index}"
 
 
+GRAPH_HP = {"ResNet18_1D": {"base_width": 8},
+            "CRNN_GRU": {"base_width": 8, "hidden_size": 16},
+            "CRNN_LSTM": {"base_width": 8, "hidden_size": 16},
+            "EEGNet2D": {}}
+
+
+def graph_step(arch):
+    """The focal loss of one training forward at [2, 12, 2048] (``arch`` at
+    its ``GRAPH_HP``), its model and its batch. The graph pins below are
+    keyed by architecture, so a pin that moves keeps its test's name."""
+    model = build(ModelSpec(arch, TASK1, GRAPH_HP[arch]), seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(2, 12, 2048)).astype(np.float32)
+    y = np.array([[1.0], [0.0]], dtype=np.float32)
+    model.train_mode()
+    return focal_loss(model.forward(x), y), model, x
+
+
 class TestGraphSize:
     """Graph nodes of one focal-loss training step, pinned so that graph
     growth fails here without a benchmark run; a change that shrinks the
     graph updates these pins on purpose."""
 
-    @pytest.mark.parametrize("arch, nodes", [("ResNet18_1D", 147),
-                                             ("CRNN_GRU", 157),
-                                             ("CRNN_LSTM", 157)])
-    def test_nodes_per_training_step(self, arch, nodes):
-        hp = {"base_width": 8}
-        if arch.startswith("CRNN"):
-            hp["hidden_size"] = 16
-        model = build(ModelSpec(arch, TASK1, hp), seed=0)
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 12, 2048)).astype(np.float32)
-        y = np.array([[1.0], [0.0]], dtype=np.float32)
-        model.train_mode()
-        loss = focal_loss(model.forward(x), y)
-        assert len(loss._toposort()) == nodes
+    NODES = {"ResNet18_1D": 122, "CRNN_GRU": 132, "CRNN_LSTM": 132}
+
+    @pytest.mark.parametrize("arch", NODES)
+    def test_nodes_per_training_step(self, arch):
+        loss, _, _ = graph_step(arch)
+        assert len(loss._toposort()) == self.NODES[arch]
 
 
 def _buffer(a):
@@ -423,6 +449,29 @@ def _buffer(a):
     while getattr(a, "base", None) is not None:
         a = a.base
     return a
+
+
+def activation_bytes(loss, model, x) -> int:
+    """Bytes of the ``.data`` buffers of every node of ``loss``'s graph and
+    of their parents, each buffer once, without the model's parameters and
+    the caller's batch ``x``."""
+    skip = {id(_buffer(p.data)) for p in model.parameters()} | {id(_buffer(x))}
+    held = {id(b): b.nbytes for n in loss._toposort() for t in (n, *n._parents)
+            for b in (_buffer(t.data),) if id(b) not in skip}
+    return sum(held.values())
+
+
+class TestGraphActivationBytes:
+    """Activation bytes one focal-loss training step's graph holds, pinned so
+    that an array no backward reads (a pre-activation kept only as a relu
+    node's input, say) fails here when it comes back."""
+
+    NBYTES = {"ResNet18_1D": 1_410_196, "CRNN_GRU": 1_458_448}
+
+    @pytest.mark.parametrize("arch", NBYTES)
+    def test_activation_bytes_per_training_step(self, arch):
+        loss, model, x = graph_step(arch)
+        assert activation_bytes(loss, model, x) == self.NBYTES[arch]
 
 
 def closure_bytes(loss) -> int:
@@ -454,22 +503,17 @@ def closure_bytes(loss) -> int:
 class TestGraphRetainedBytes:
     """Bytes the backward closures of one focal-loss training step keep alive
     besides the graph's tensors, pinned so that a closure that starts keeping
-    a derived array (an im2col matrix, a padded copy) fails here. Window ops
-    rebuild their windows in backward; what remains are normalized
-    activations, pool argmaxes, elu slopes and dropout masks."""
+    a derived array (an im2col matrix, a padded copy, a normalized
+    activation) fails here. Window ops rebuild their windows and
+    normalization its x̂ in backward; what remains are per-channel
+    statistics, pool argmaxes, elu slopes and dropout masks."""
 
-    @pytest.mark.parametrize("arch, hp, nbytes", [
-        ("ResNet18_1D", {"base_width": 8}, 698_736),
-        ("CRNN_GRU", {"base_width": 8, "hidden_size": 16}, 781_168),
-        ("EEGNet2D", {}, 3_877_040)])
-    def test_closure_bytes_per_training_step(self, arch, hp, nbytes):
-        model = build(ModelSpec(arch, TASK1, hp), seed=0)
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(2, 12, 2048)).astype(np.float32)
-        y = np.array([[1.0], [0.0]], dtype=np.float32)
-        model.train_mode()
-        loss = focal_loss(model.forward(x), y)
-        assert closure_bytes(loss) == nbytes
+    NBYTES = {"ResNet18_1D": 13_008, "CRNN_GRU": 95_440, "EEGNet2D": 1_975_632}
+
+    @pytest.mark.parametrize("arch", NBYTES)
+    def test_closure_bytes_per_training_step(self, arch):
+        loss, _, _ = graph_step(arch)
+        assert closure_bytes(loss) == self.NBYTES[arch]
 
     def test_walk_counts_a_derived_buffer_once(self):
         x = Tensor(np.ones((4, 8)), requires_grad=True)

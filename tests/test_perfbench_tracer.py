@@ -48,15 +48,14 @@ def test_round_patches_every_name_and_restores_it(tracer_module):
     assert tracer.stats["signal.bandpass"][0] == 1
 
 
-def test_traced_step_reaches_every_layer_op(tracer_module):
-    """A layer that binds its op at import time escapes the patch on
-    ``functional`` and reads fewer calls here."""
+def assert_step_reaches(tracer_module, arch, hp, want):
+    """A traced training step of ``arch`` makes the ``want`` forward calls
+    per op, and reaches each op's backward."""
     import ecglearn.models as models
     from ecglearn.dataio import TaskKind, TaskSpec
     from ecglearn.learn import focal_loss
 
-    spec = models.ModelSpec("ResNet18_1D", TaskSpec(TaskKind.BINARY, ("positive",)),
-                            {"base_width": 8})
+    spec = models.ModelSpec(arch, TaskSpec(TaskKind.BINARY, ("positive",)), hp)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2, 12, 256)).astype(np.float32)
     y = np.array([[1.0], [0.0]], dtype=np.float32)
@@ -66,10 +65,23 @@ def test_traced_step_reaches_every_layer_op(tracer_module):
         loss = focal_loss(model.forward(x), y)
         model.zero_grad()
         loss.backward()
-    want = {"conv1d": 20, "batchnorm": 20, "relu": 17, "maxpool1d": 1,
-            "global_avg_pool1d": 1, "linear": 1}
     assert {op: tracer.stats[f"tensor.{op}.fwd"][0] for op in want} == want
     assert all(tracer.stats[f"tensor.{op}.bwd"][0] for op in want)
+
+
+def test_traced_step_reaches_every_layer_op(tracer_module):
+    """A layer that binds its op at import time escapes the patch on
+    ``functional`` and reads fewer calls here. The ResNet's relus run
+    inside its batchnorms, so it calls no ``F.relu``."""
+    assert_step_reaches(tracer_module, "ResNet18_1D", {"base_width": 8},
+                        {"conv1d": 20, "batchnorm": 20, "maxpool1d": 1,
+                         "global_avg_pool1d": 1, "linear": 1})
+
+
+def test_traced_vgg_step_reaches_relu(tracer_module):
+    """VGG11bn1D keeps its ``ReLU`` modules, so relu stays covered."""
+    assert_step_reaches(tracer_module, "VGG11bn1D", {"width": 4},
+                        {"conv1d": 8, "batchnorm": 8, "relu": 8, "maxpool1d": 5})
 
 
 def test_traced_checkpoint_load_and_adapt_build_once(tracer_module, tmp_path):

@@ -273,6 +273,12 @@ class TestBatchnorm:
             F.batchnorm(x, T(np.ones(3)), T(np.zeros(3)),
                         np.zeros(3), np.zeros(3), training=False)
 
+    def test_residual_must_match_input_shape(self):
+        x = T(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError, match=r"residual shape \(2, 3, 1\)"):
+            F.batchnorm(x, T(np.ones(3)), T(np.zeros(3)), np.zeros(3),
+                        np.zeros(3), training=True, residual=T(np.zeros((2, 3, 1))))
+
     def test_running_stats_converge_to_batch_stats(self):
         rng = np.random.default_rng(2)
         x = T(rng.normal(loc=1.0, scale=2.0, size=(16, 3, 200)))
