@@ -125,23 +125,20 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    grid = _read_json(args.grid)
-    if not isinstance(grid, dict) or not all(isinstance(v, list)
-                                             for v in grid.values()):
-        raise ConfigError(f"{args.grid}: grid must map dotted keys to lists")
-    sweep_dir = run_sweep(cfg, grid, log=_echo)
+    sweep_dir = run_sweep(_load_config(args), _read_json(args.grid), log=_echo)
     _echo(f"sweep directory: {sweep_dir}")
     _echo((sweep_dir / "leaderboard.csv").read_text().strip())
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _load_config(args)
-    report = run_evaluate(args.checkpoint, cfg, split=args.split)
+    out_file = Path(args.out_file) if args.out_file else None
+    if out_file and (out_file.is_dir() or not out_file.parent.is_dir()):
+        raise ConfigError(f"--out-file {out_file}: not a file in an existing directory")
+    report = run_evaluate(args.checkpoint, _load_config(args), split=args.split)
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out_file:
-        Path(args.out_file).write_text(text + "\n")
+    if out_file:
+        out_file.write_text(text + "\n")
         _echo(f"wrote {args.out_file}")
     else:
         _echo(text)

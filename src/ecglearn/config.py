@@ -1,9 +1,10 @@
 """Run configuration: a complete, serializable experiment description.
 
 A RunConfig plus the dataset directory fully determines a run, including
-every stochastic stream. Configs serialize to JSON; loading rejects unknown
-keys (typos must fail loudly, or the snapshot-reproducibility contract
-breaks). CLI overrides are applied with dotted paths before validation.
+every stochastic stream. Configs serialize to JSON; loading checks each
+value's type and the split's folds, and rejects unknown keys (typos must fail
+loudly, or the snapshot-reproducibility contract breaks). CLI overrides are
+applied with dotted paths before validation.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from enum import Enum
 from pathlib import Path
 
 from .augment import AugmentConfig
+from .dataio.splits import SplitPlan
 from .errors import ConfigError
 from .learn.losses import _check_focal_params
 from .learn.optim import OptimizerConfig
@@ -60,13 +62,7 @@ class ModelConfig:
     hyperparams: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SplitConfig:
-    """Fold-based split selector; defaults to the 1-8/9/10 convention."""
-
-    train_folds: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
-    val_folds: tuple[int, ...] = (9,)
-    test_folds: tuple[int, ...] = (10,)
+SplitConfig = SplitPlan     # the split section's type, by its former name
 
 
 @dataclass(frozen=True)
@@ -79,14 +75,7 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    split: SplitConfig = field(default_factory=SplitConfig)
-
-    def to_json(self) -> str:
-        return json.dumps(config_to_dict(self), indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_json_file(path: str | Path) -> "RunConfig":
-        return config_from_dict(RunConfig, _read_json(path))
+    split: SplitPlan = field(default_factory=SplitPlan)
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +99,17 @@ def config_to_dict(obj):
         return obj.value
     if isinstance(obj, (tuple, list)):
         return [config_to_dict(x) for x in obj]
+    if isinstance(obj, frozenset):
+        return sorted(obj)
     if isinstance(obj, dict):
         return {k: config_to_dict(v) for k, v in obj.items()}
     return obj
+
+
+# scalar annotation -> (the JSON types it takes, what an error calls it); a
+# JSON true or false is a bool, an int subclass, so only a bool field takes it
+_SCALARS = {float: ((int, float), "a number"), int: (int, "an integer"),
+            bool: (bool, "a boolean"), str: (str, "a string")}
 
 
 def _convert(annotation, value, path: str):
@@ -128,12 +125,13 @@ def _convert(annotation, value, path: str):
         if not isinstance(value, dict):
             raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
         return dict(value)
-    if origin in (tuple, list):
+    if origin in (tuple, list, frozenset):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list")
         args = typing.get_args(annotation)
         elem = args[0] if args else float
-        return tuple(_convert(elem, v, f"{path}[{i}]") for i, v in enumerate(value))
+        items = (_convert(elem, v, f"{path}[{i}]") for i, v in enumerate(value))
+        return frozenset(items) if origin is frozenset else tuple(items)
     if is_dataclass(annotation):
         return config_from_dict(annotation, value, path)
     if isinstance(annotation, type) and issubclass(annotation, Enum):
@@ -142,22 +140,12 @@ def _convert(annotation, value, path: str):
         except ValueError:
             valid = ", ".join(e.value for e in annotation)
             raise ConfigError(f"{path}: {value!r} is not one of [{valid}]") from None
-    if annotation is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if annotation is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if annotation is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-        return value
-    if annotation is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
+    if annotation in _SCALARS:
+        accepted, wording = _SCALARS[annotation]
+        if not isinstance(value, accepted) or (isinstance(value, bool)
+                                               and annotation is not bool):
+            raise ConfigError(f"{path}: expected {wording}, got {value!r}")
+        return annotation(value)
     return value
 
 

@@ -74,9 +74,11 @@ def save_dataset(manifest: DatasetManifest, records: list[EcgRecord] | None,
     """Write meta.json + manifest.csv and, when given, the record files.
 
     Records are written under ``records/`` and the manifest rows are updated
-    with their relative header paths.
+    with their relative header paths. A file at ``directory`` is a DataError.
     """
     directory = Path(directory)
+    if directory.exists() and not directory.is_dir():
+        raise DataError(f"dataset directory {directory} exists and is not a directory")
     directory.mkdir(parents=True, exist_ok=True)
     if records is not None:
         if len(records) != len(manifest.rows):

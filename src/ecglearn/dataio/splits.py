@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,17 +15,18 @@ __all__ = ["SplitPlan", "ptbxl_split", "split_indices", "stratified_kfold"]
 
 @dataclass(frozen=True)
 class SplitPlan:
-    train_folds: frozenset[int]
-    val_folds: frozenset[int]
-    test_folds: frozenset[int]
+    """Fold ids per split, by default 1-8 train, 9 val, 10 test; overlapping
+    or empty fold sets are refused, so a config's split is checked on read."""
+
+    train_folds: frozenset[int] = frozenset(range(1, 9))
+    val_folds: frozenset[int] = frozenset({9})
+    test_folds: frozenset[int] = frozenset({10})
 
     def __post_init__(self):
-        object.__setattr__(self, "train_folds", frozenset(self.train_folds))
-        object.__setattr__(self, "val_folds", frozenset(self.val_folds))
-        object.__setattr__(self, "test_folds", frozenset(self.test_folds))
+        for f in fields(self):
+            object.__setattr__(self, f.name, frozenset(getattr(self, f.name)))
         groups = [self.train_folds, self.val_folds, self.test_folds]
-        total = sum(len(g) for g in groups)
-        if len(self.train_folds | self.val_folds | self.test_folds) != total:
+        if len(self.all_folds()) != sum(len(g) for g in groups):
             raise SplitError("train/val/test folds must be disjoint")
         if not all(groups):
             raise SplitError("every split needs at least one fold")
@@ -35,15 +36,14 @@ class SplitPlan:
 
 
 def ptbxl_split(manifest: DatasetManifest) -> SplitPlan:
-    """The 10-fold benchmark convention: folds 1-8 train, 9 validation, 10 test."""
+    """The default SplitPlan, once every record's fold id is in 1..10."""
     folds = set(int(f) for f in manifest.folds())
     if not folds:
         raise SplitError("manifest has no records")
     bad = folds - set(range(1, 11))
     if bad:
         raise SplitError(f"fold ids outside 1..10: {sorted(bad)}")
-    return SplitPlan(train_folds=frozenset(range(1, 9)),
-                     val_folds=frozenset({9}), test_folds=frozenset({10}))
+    return SplitPlan()
 
 
 def split_indices(manifest: DatasetManifest, plan: SplitPlan) -> dict[str, list[int]]:
@@ -55,14 +55,9 @@ def split_indices(manifest: DatasetManifest, plan: SplitPlan) -> dict[str, list[
         raise SplitError(f"records carry folds not covered by the plan: "
                          f"{sorted(unassigned)}")
     out = {"train": [], "val": [], "test": []}
+    split_of = {f: split for split in out for f in getattr(plan, f"{split}_folds")}
     for i, f in enumerate(folds):
-        f = int(f)
-        if f in plan.train_folds:
-            out["train"].append(i)
-        elif f in plan.val_folds:
-            out["val"].append(i)
-        else:
-            out["test"].append(i)
+        out[split_of[int(f)]].append(i)
     for split, idx in out.items():
         if not idx:
             folds = sorted(getattr(plan, f"{split}_folds"))

@@ -22,8 +22,8 @@ import numpy as np
 
 from .config import (RunConfig, _read_json, apply_override, config_from_dict,
                      config_to_dict)
-from .dataio import (BatchLoader, DatasetManifest, SplitPlan, load_manifest,
-                     load_records, split_indices)
+from .dataio import (BatchLoader, DatasetManifest, load_manifest, load_records,
+                     split_indices)
 from .errors import ConfigError, EcglearnError
 from .learn import (MetricsReport, TrainResult, class_weights_from_counts,
                     evaluate, focal_loss, history_row_names, train_model,
@@ -63,17 +63,11 @@ def prepare_run_dir(cfg: RunConfig, name_hint: str) -> Path:
 
 class ResolvedData:
     def __init__(self, cfg: RunConfig):
-        dataset_dir = Path(cfg.manifest)
-        self.manifest: DatasetManifest = load_manifest(dataset_dir)
-        plan = SplitPlan(train_folds=frozenset(cfg.split.train_folds),
-                         val_folds=frozenset(cfg.split.val_folds),
-                         test_folds=frozenset(cfg.split.test_folds))
-        self.indices = split_indices(self.manifest, plan)
-        self.records = load_records(self.manifest, dataset_dir)
+        self.manifest: DatasetManifest = load_manifest(cfg.manifest)
+        self.indices = split_indices(self.manifest, cfg.split)
+        self.records = load_records(self.manifest, cfg.manifest)
         f = cfg.preprocess.filter
-        self.filter_spec = None if f is None else FilterSpec(
-            fs=self.manifest.fs, order=f.order, low_cut=f.low_cut,
-            high_cut=f.high_cut)
+        self.filter_spec = None if f is None else FilterSpec(self.manifest.fs, **vars(f))
         self._cfg = cfg
 
     def loader(self, split: str, training: bool) -> BatchLoader:
@@ -198,12 +192,17 @@ def run_evaluate(checkpoint_path: str | Path, cfg: RunConfig,
 def run_sweep(base_cfg: RunConfig, grid: dict[str, list], log=None) -> Path:
     """Cartesian sweep of dotted-path overrides, sequential, shared seed.
 
-    Each combination trains in its own subdirectory. Failures are recorded in
-    the leaderboard and the sweep continues. The leaderboard is sorted by
-    best validation F1, descending.
+    ``grid`` maps dotted config keys to non-empty value lists (checked before
+    the sweep directory is made). Each combination trains in its own
+    subdirectory. Failures are recorded in the leaderboard and the sweep
+    continues. The leaderboard is sorted by best validation F1, descending.
     """
-    if not grid:
-        raise ConfigError("sweep grid is empty")
+    if not isinstance(grid, dict) or not grid:
+        raise ConfigError(f"sweep grid must be a non-empty object, got {grid!r}")
+    for key, values in grid.items():
+        if not isinstance(key, str) or not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep grid {key!r}: expected a non-empty list, "
+                              f"got {values!r}")
     sweep_dir = prepare_run_dir(base_cfg, "sweep")
     keys = sorted(grid)
     rows = []
@@ -241,12 +240,14 @@ def run_report(run_dirs: list[str | Path], out_dir: str | Path,
     Emits report.md and report.csv (rows = runs; columns = accuracy, F1, MAP,
     G-mean) and one radial-<run>.json per run with the comparison axes
     (AUC, sensitivity, specificity, PPV). Incomplete run directories are
-    skipped with a warning; a malformed metrics.json or config.json is a
-    ConfigError naming the file.
+    skipped with a warning. Every run is read before anything is written: a
+    malformed metrics.json or config.json is a ConfigError naming the file,
+    and so are two runs of one name and an ``out_dir`` that is a file.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    table = []
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"report directory {out} exists and is not a directory")
+    table, radial = [], {}      # radial: run name -> (directory, axes)
     for rd in run_dirs:
         rd = Path(rd)
         metrics_path = rd / "metrics.json"
@@ -266,14 +267,18 @@ def run_report(run_dirs: list[str | Path], out_dir: str | Path,
         if not isinstance(cfg, dict) or not isinstance(cfg.get("model", {}), dict):
             raise ConfigError(f"{cfg_path}: not a run config (no model object)")
         name = rd.name
+        if name in radial:
+            raise ConfigError(f"runs {radial[name][0]} and {rd} share the name {name!r}")
         table.append({
             "run": name,
             "architecture": cfg.get("model", {}).get("architecture", "?"),
             **{k: metrics[k] for k in _TABLE_KEYS},
         })
-        _write_json(out / f"radial-{name}.json",
-                    {k: metrics[k] for k in RADIAL_KEYS})
+        radial[name] = rd, {k: metrics[k] for k in RADIAL_KEYS}
 
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (_, axes) in radial.items():
+        _write_json(out / f"radial-{name}.json", axes)
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["run", "architecture", *_TABLE_KEYS])
         writer.writeheader()

@@ -114,11 +114,17 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return Tensor._from_op(data, tuple(tensors), backward)
 
 
+def _check_bias(b: Tensor | None, n: int, op: str):
+    if b is not None and b.shape != (n,):
+        raise ShapeError(f"{op}: bias shape {b.shape} != ({n},)")
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """x @ w (+ b) with w of shape [in_features, out_features]."""
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(
             f"linear: input features {x.shape[-1]} != weight rows {w.shape[0]}")
+    _check_bias(b, w.shape[-1], "linear")
     out = x @ w
     if b is not None:
         out = out + b
@@ -226,6 +232,7 @@ def _conv(x: Tensor, w: Tensor, b: Tensor | None, stride, padding, op: str,
     O, Cw, KH, KW = wd.shape
     if C != Cw:
         raise ShapeError(f"{op}: input channels {C} != weight channels {Cw}")
+    _check_bias(b, O, op)
     win, scatter = _windows(xd, (KH, KW), stride, padding, op, err)
     Ho, Wo = win.shape[2], win.shape[3]
     wmat = wd.reshape(O, C * KH * KW)
@@ -344,6 +351,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     Cw, M, KH, KW = w.shape
     if C != Cw:
         raise ShapeError(f"depthwise_conv2d: input channels {C} != weight channels {Cw}")
+    _check_bias(b, C * M, "depthwise_conv2d")
     def windows():
         return _windows(
             x.data, (KH, KW), stride, padding, "depthwise_conv2d",

@@ -9,6 +9,8 @@ import pytest
 
 from ecglearn.cli import main
 from ecglearn.config import RunConfig, config_to_dict
+from ecglearn.errors import ConfigError
+from ecglearn.run import run_sweep
 from ecglearn.transfer import save_checkpoint
 from test_dataio import (MALFORMED_HEADERS, MALFORMED_LABELS_CSV,
                          MALFORMED_MANIFEST, MALFORMED_META, corrupt_manifest,
@@ -79,6 +81,9 @@ TRAIN_REFUSALS = {
     "gamma-infinite": (set_args(["loss.gamma=Infinity"]),
                        set_args(["loss.gamma=2.0"]),
                        "gamma must be >= 0 and finite, got inf"),
+    "overlapping-folds": (set_args(["split.val_folds=[1]"]),
+                          set_args(["split.val_folds=[9]"]),
+                          "split: train/val/test folds must be disjoint"),
     "empty-test-split": (set_args(["split.train_folds=[1,2,3,4,5,6,7,8,10]",
                                    "split.test_folds=[11]"]),
                          set_args(["split.train_folds=[1,2,3,4,5,6,7,8]",
@@ -285,20 +290,29 @@ class TestTrain:
         assert cli(*argv, *fixed) == 0
         assert (out / "metrics.json").exists()
 
-    @pytest.mark.parametrize("verb", ["train", "sweep"])
+    @pytest.mark.parametrize("verb", ["train", "sweep", "prepare", "report"])
     def test_out_naming_a_file_refused(self, tmp_path, dataset, capsys, verb):
         out = tmp_path / "afile"
         out.write_text("x")
-        argv = [verb, "--config", write_config(tmp_path, dataset), "--out", out]
+        if verb == "prepare":
+            argv = [verb, "--synthetic", "--per-class", 10, "--length", 200]
+        elif verb == "report":
+            run = tmp_path / "run"
+            run.mkdir()
+            (run / "metrics.json").write_text(json.dumps(GOOD_METRICS))
+            argv = [verb, run]
+        else:
+            argv = [verb, "--config", write_config(tmp_path, dataset)]
         if verb == "sweep":
             grid = tmp_path / "grid.json"
             grid.write_text(json.dumps({"optimizer.lr": [0.001]}))
             argv += ["--grid", grid]
         before = sorted(tmp_path.rglob("*"))
-        assert cli(*argv) == 2
+        assert cli(*argv, "--out", out) == 2
         stdout, err = capsys.readouterr()
         assert err.startswith("error: ")
-        assert f"run directory {out} exists and is not a directory" in err
+        kind = {"prepare": "dataset", "report": "report"}.get(verb, "run")
+        assert f"{kind} directory {out} exists and is not a directory" in err
         assert "epoch" not in stdout
         assert sorted(tmp_path.rglob("*")) == before
         assert out.read_text() == "x"
@@ -404,8 +418,11 @@ class TestSweepEvaluateReport:
         assert f1s == sorted(f1s, reverse=True)
         assert all((sweep_dir / f"run-{i:03d}").exists() for i in range(4))
 
-    @pytest.mark.parametrize("content", [None, "{not json"],
-                             ids=["missing", "invalid"])
+    @pytest.mark.parametrize("content", [None, "{not json", "[]", "{}",
+                                         '{"optimizer.lr": 0.001}',
+                                         '{"optimizer.lr": []}'],
+                             ids=["missing", "invalid", "list", "empty",
+                                  "scalar-values", "empty-values"])
     def test_sweep_bad_grid_file_is_config_error(self, tmp_path, dataset,
                                                  capsys, content):
         cfg = write_config(tmp_path, dataset)
@@ -417,6 +434,16 @@ class TestSweepEvaluateReport:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("grid", [{"optimizer.lr": "0.1"},
+                                      {"optimizer.lr": []}, {}],
+                             ids=["string-values", "empty-values", "empty"])
+    def test_library_sweep_checks_its_grid(self, tmp_path, dataset, grid):
+        sweep_dir = tmp_path / "sweep"
+        cfg = RunConfig(manifest=str(dataset), out_dir=str(sweep_dir))
+        with pytest.raises(ConfigError, match="sweep grid"):
+            run_sweep(cfg, grid)
+        assert not sweep_dir.exists()
 
     def test_sweep_unknown_key_is_failed_row(self, tmp_path, dataset, capsys):
         cfg = write_config(tmp_path, dataset)
@@ -466,6 +493,20 @@ class TestSweepEvaluateReport:
         assert report["split"] == "val"
         assert 0.0 <= report["f1"] <= 1.0
 
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_evaluate_out_file_refused_before_loading(self, tmp_path, dataset,
+                                                      capsys, where):
+        out_file = (tmp_path / "no-such-dir" / "report.json"
+                    if where == "missing-dir" else tmp_path)
+        cfg = write_config(tmp_path, dataset)
+        before = sorted(tmp_path.rglob("*"))
+        # the checkpoint is never read: a missing one would exit 1
+        rc = cli("evaluate", "--config", cfg, "--checkpoint", tmp_path / "no.ckpt",
+                 "--out-file", out_file)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: --out-file {out_file}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_report_tables_and_radial_json(self, tmp_path, dataset, capsys):
         cfg = write_config(tmp_path, dataset)
         runs = []
@@ -484,6 +525,18 @@ class TestSweepEvaluateReport:
         md = (out / "report.md").read_text()
         metrics0 = json.loads((runs[0] / "metrics.json").read_text())
         assert f"{metrics0['f1']:.4f}" in md
+
+    def test_report_refuses_two_runs_of_one_name(self, tmp_path, capsys):
+        runs = [tmp_path / "a" / "run", tmp_path / "b" / "run"]
+        for run in runs:
+            run.mkdir(parents=True)
+            (run / "metrics.json").write_text(json.dumps(GOOD_METRICS))
+        out = tmp_path / "summary"
+        assert cli("report", *runs, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"runs {runs[0]} and {runs[1]} share the name 'run'" in err
+        assert not out.exists()
 
     def test_report_skips_incomplete_run(self, tmp_path, dataset, capsys):
         incomplete = tmp_path / "broken-run"

@@ -17,7 +17,8 @@ from ecglearn.dataio import (BatchLoader, DatasetManifest, LabelVector,
                              write_wfdb_record)
 from ecglearn.dataio.synthetic import class_frequency
 from ecglearn.augment import AugmentConfig
-from ecglearn.errors import DataError, SplitError
+from ecglearn.config import RunConfig, config_from_dict, config_to_dict
+from ecglearn.errors import ConfigError, DataError, SplitError
 from ecglearn.signal import EcgRecord, FilterSpec, design_butterworth_bandpass
 from oracles import (oracle_bandpass, oracle_generate_imbalanced_binary,
                      oracle_generate_synthetic_dataset)
@@ -214,6 +215,24 @@ class TestSplits:
         m = tiny_manifest(self.TASK, n=3, folds=[1, 2, 11])
         with pytest.raises(SplitError, match="outside 1..10"):
             ptbxl_split(m)
+
+    def test_benchmark_plan_is_the_run_config_split(self):
+        assert ptbxl_split(tiny_manifest(self.TASK, n=20)) == RunConfig().split
+
+    @pytest.mark.parametrize("split, message", [
+        ({"val_folds": [8]}, "split: train/val/test folds must be disjoint"),
+        ({"test_folds": []}, "split: every split needs at least one fold"),
+    ], ids=["overlapping", "empty"])
+    def test_config_split_checked_when_read(self, split, message):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(RunConfig, {"split": split})
+        assert str(err.value) == message
+
+    def test_config_snapshot_writes_folds_sorted_once(self):
+        cfg = config_from_dict(RunConfig, {"split": {"train_folds": [3, 1, 3, 2]}})
+        assert cfg.split.train_folds == frozenset({1, 2, 3})
+        assert config_to_dict(cfg)["split"] == {
+            "train_folds": [1, 2, 3], "val_folds": [9], "test_folds": [10]}
 
     def test_stratified_balanced_two_class(self):
         # 100 records, 2 balanced classes, 10 folds -> every fold is 5+5

@@ -6,7 +6,7 @@ import pytest
 from ecglearn.dataio import TaskKind
 from ecglearn.errors import ShapeError
 from ecglearn.learn.train import _scores_from_logits
-from ecglearn.tensor import Tensor, functional as F
+from ecglearn.tensor import Tensor, functional as F, gru_cell, lstm_cell
 from ecglearn.tensor import tensor as tensor_module
 from oracles import oracle_relu, oracle_sigmoid
 
@@ -231,6 +231,38 @@ class TestWindowArguments:
         assert F.maxpool1d(x, 2).shape == F.maxpool1d(x, 2, stride=2).shape == (1, 1, 4)
         assert F.avgpool1d(x, 2).shape == (1, 1, 4)
         assert F.maxpool1d(x, 2, stride=1).shape == (1, 1, 7)
+
+
+class TestBiasShapes:
+    """A bias that is not one value per output channel is a ShapeError naming
+    the op, raised before the op computes (a recurrent cell's through linear)."""
+
+    X1, X2, H = np.zeros((1, 2, 8)), np.zeros((1, 2, 6, 8)), np.zeros((2, 4))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: F.linear(T(s.H), T(np.zeros((4, 3))), T(np.zeros(4))),
+         "linear: bias shape (4,) != (3,)"),
+        (lambda s: F.linear(T(s.H), T(np.zeros((4, 3))), T(np.zeros((2, 3)))),
+         "linear: bias shape (2, 3) != (3,)"),
+        (lambda s: F.conv1d(T(s.X1), T(np.zeros((4, 2, 3))), T(np.zeros(1))),
+         "conv1d: bias shape (1,) != (4,)"),
+        (lambda s: F.conv2d(T(s.X2), T(np.zeros((3, 2, 2, 3))), T(np.zeros((3, 1)))),
+         "conv2d: bias shape (3, 1) != (3,)"),
+        (lambda s: F.depthwise_conv2d(T(s.X2), T(np.zeros((2, 3, 2, 3))),
+                                      T(np.zeros(3))),
+         "depthwise_conv2d: bias shape (3,) != (6,)"),
+        (lambda s: gru_cell(T(s.H), T(s.H), T(np.zeros((4, 12))),
+                            T(np.zeros((4, 12))), T(np.zeros(4)), T(np.zeros(12))),
+         "linear: bias shape (4,) != (12,)"),
+        (lambda s: lstm_cell(T(s.H), (T(s.H), T(s.H)), T(np.zeros((4, 16))),
+                             T(np.zeros((4, 16))), T(np.zeros(16)), T(np.zeros(1))),
+         "linear: bias shape (1,) != (16,)"),
+    ], ids=["linear", "linear-2d", "conv1d", "conv2d", "depthwise_conv2d",
+            "gru_cell", "lstm_cell"])
+    def test_bad_bias_is_shape_error(self, call, message):
+        with pytest.raises(ShapeError) as err:
+            call(self)
+        assert str(err.value) == message
 
 
 class TestPooling:
