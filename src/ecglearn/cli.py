@@ -102,10 +102,7 @@ def _load_config(args) -> RunConfig:
             raise ConfigError(f"--set expects key.path=value, got {item!r}")
         key, _, value = item.partition("=")
         apply_override(data, key, value)
-    cfg = config_from_dict(RunConfig, data)
-    if not cfg.manifest:
-        raise ConfigError("no dataset: set manifest in the config or pass --data")
-    return cfg
+    return config_from_dict(RunConfig, data)
 
 
 def _report_run(run_dir: Path) -> int:

@@ -17,11 +17,12 @@ from enum import Enum
 from pathlib import Path
 
 from .augment import AugmentConfig
+from .dataio.batches import _check_lengths
 from .dataio.splits import SplitPlan
 from .errors import ConfigError
 from .learn.losses import _check_focal_params
 from .learn.optim import OptimizerConfig
-from .signal import NormalizationMethod
+from .signal import FilterSpec, NormalizationMethod, _check_band
 
 __all__ = ["FilterConfig", "PreprocessConfig", "LossConfig", "ModelConfig",
            "SplitConfig", "RunConfig", "config_to_dict", "config_from_dict",
@@ -30,9 +31,14 @@ __all__ = ["FilterConfig", "PreprocessConfig", "LossConfig", "ModelConfig",
 
 @dataclass(frozen=True)
 class FilterConfig:
-    order: int = 2
-    low_cut: float = 1.0
-    high_cut: float = 45.0
+    """``FilterSpec`` without fs, which comes from the dataset."""
+
+    order: int = FilterSpec.order
+    low_cut: float = FilterSpec.low_cut
+    high_cut: float = FilterSpec.high_cut
+
+    def __post_init__(self):
+        _check_band(self.order, self.low_cut, self.high_cut)
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,9 @@ class PreprocessConfig:
     max_len: int | None = 5000
     segment_len: int = 2048
     normalization: NormalizationMethod = NormalizationMethod.ZSCORE
+
+    def __post_init__(self):
+        _check_lengths(self.segment_len, self.max_len)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ one stacked bandpass call, which filters records of equal length in one pass
 instead of one record at a time. Training iterations shuffle, draw a fresh
 random segment start per record, and augment; validation/test iterations use
 start-0 segments and no augmentation, so two passes yield identical tensors.
+A record read from a file stays int16 unless it is filtered or its length
+changes, and each draw decodes only the segment it cuts.
 
 Every random draw comes from a substream keyed by (seed, purpose, epoch,
 record index), which makes the stream independent of iteration scheduling.
@@ -30,6 +32,14 @@ from .labels import TaskSpec
 __all__ = ["BatchLoader"]
 
 
+def _check_lengths(segment_len: int, max_len: int | None) -> None:
+    """A segment length of at least 1, and a length cap of at least 1 or None."""
+    if segment_len < 1:
+        raise DataError(f"segment_len must be >= 1, got {segment_len}")
+    if max_len is not None and max_len < 1:
+        raise DataError(f"max_len must be >= 1, got {max_len}")
+
+
 class BatchLoader:
     """Yields (inputs [B, 12, l] float32, targets [B, k] float32) batches."""
 
@@ -44,8 +54,7 @@ class BatchLoader:
             raise DataError("cannot build a loader over an empty split")
         if batch_size < 1:
             raise DataError(f"batch size must be >= 1, got {batch_size}")
-        if segment_len < 1:
-            raise DataError(f"segment_len must be >= 1, got {segment_len}")
+        _check_lengths(segment_len, max_len)
         try:
             normalization = NormalizationMethod(normalization)
         except ValueError:

@@ -6,6 +6,11 @@ the twelve signals' samples at time t. The header's first line carries
 ``name n_sig fs n_samples``; each signal line carries the sample file name,
 the format code (16), and a ``gain(baseline)/mV`` token. Millivolts are
 reconstructed as (raw - baseline) / gain, per lead.
+
+A loaded record is a ``QuantizedRecord`` holding only the samples (12 x m x
+2 bytes) and the 12 gains and baselines. Its ``signal`` is a fresh decode on
+every read, so mutating it changes nothing; a segment cut decodes only its
+window.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError
-from ..signal import N_LEADS, EcgRecord
+from ..signal import N_LEADS, QuantizedRecord
 
 __all__ = ["write_wfdb_record", "load_wfdb_record", "DEFAULT_GAIN"]
 
@@ -84,8 +89,8 @@ def _parse_gain_token(token: str) -> tuple[float, int]:
     return gain, baseline
 
 
-def load_wfdb_record(header_path: str | Path) -> EcgRecord:
-    """Parse a header and its sample file into an EcgRecord (millivolts)."""
+def load_wfdb_record(header_path: str | Path) -> QuantizedRecord:
+    """Parse a header and its sample file into a record that keeps the samples."""
     header_path = Path(header_path)
     if not header_path.exists():
         raise DataError(f"header not found: {header_path}")
@@ -139,6 +144,4 @@ def load_wfdb_record(header_path: str | Path) -> EcgRecord:
             f"{dat_path.name}: expected {expected_bytes} bytes "
             f"({N_LEADS} signals x {m} samples x 2), found {actual_bytes}")
     raw = np.fromfile(dat_path, dtype="<i2").reshape(m, N_LEADS).T
-    mv = (raw.astype(np.float64) - np.asarray(baselines)[:, None]) \
-        / np.asarray(gains)[:, None]
-    return EcgRecord(signal=mv, fs=fs, id=name)
+    return QuantizedRecord(raw, gains, baselines, fs=fs, id=name)

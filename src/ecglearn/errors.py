@@ -38,13 +38,29 @@ class OptimizerError(EcglearnError):
 
 
 class TrainingDivergedError(EcglearnError):
-    """Loss became non-finite; carries the epoch/batch where it happened."""
+    """Training went non-finite; carries the epoch/batch where it happened.
+
+    Raised as is for a training loss, and as ``NonFiniteLogitsError`` for a
+    validation logit."""
 
     def __init__(self, epoch: int, batch: int, value: float):
         self.epoch = epoch
         self.batch = batch
         self.value = value
         super().__init__(f"non-finite loss {value!r} at epoch {epoch}, batch {batch}")
+
+
+class NonFiniteLogitsError(TrainingDivergedError):
+    """An evaluation batch gave a NaN or Inf logit. ``epoch`` is the training
+    epoch whose validation it was, or None outside training."""
+
+    def __init__(self, epoch: int | None, batch: int, value: float):
+        self.epoch = epoch
+        self.batch = batch
+        self.value = value
+        after = "" if epoch is None else f" after epoch {epoch}"
+        EcglearnError.__init__(
+            self, f"non-finite logit {value!r} in evaluation batch {batch}{after}")
 
 
 class CheckpointError(EcglearnError):

@@ -91,13 +91,11 @@ def auc_score(scores: np.ndarray, targets: np.ndarray) -> float | None:
     order = np.argsort(scores, kind="stable")
     svals = scores[order]
     ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and svals[j] == svals[i]:
-            j += 1
+    # tie groups [i, j) end where the sorted value changes; NaN differs from
+    # everything, itself included, so each NaN is a group of its own
+    edges = [0, *(np.flatnonzero(svals[1:] != svals[:-1]) + 1).tolist(), n]
+    for i, j in zip(edges[:-1], edges[1:]):
         ranks[order[i:j]] = (i + 1 + j) / 2.0  # mean of 1-based ranks i+1..j
-        i = j
     rank_sum = float(ranks[targets == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

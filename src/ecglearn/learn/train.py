@@ -16,7 +16,7 @@ import numpy as np
 
 from ..dataio.batches import BatchLoader
 from ..dataio.labels import TaskKind
-from ..errors import TrainingDivergedError
+from ..errors import NonFiniteLogitsError, TrainingDivergedError
 from ..models.architectures import Model
 from ..tensor import Tensor, functional as F, no_grad
 from .metrics import METRIC_NAMES, MetricsReport, compute_metrics
@@ -49,12 +49,19 @@ def _scores_from_logits(logits: np.ndarray, kind: TaskKind) -> np.ndarray:
 
 def evaluate(model: Model, loader: BatchLoader,
              threshold: float = 0.5) -> MetricsReport:
-    """Eval-mode sweep over a loader; returns the macro metric suite."""
+    """Eval-mode sweep over a loader; returns the macro metric suite.
+
+    A batch whose logits hold NaN or Inf raises ``NonFiniteLogitsError``.
+    """
     model.eval_mode()
     chunks, targets = [], []
     with no_grad():
-        for xb, yb in loader.batches():
-            chunks.append(model.forward(xb).data.copy())
+        for bi, (xb, yb) in enumerate(loader.batches()):
+            logits = model.forward(xb).data.copy()
+            bad = logits[~np.isfinite(logits)]
+            if bad.size:
+                raise NonFiniteLogitsError(None, bi, float(bad[0]))
+            chunks.append(logits)
             targets.append(yb)
     logits = np.concatenate(chunks, axis=0)
     y = np.concatenate(targets, axis=0).astype(np.int8)
@@ -88,7 +95,10 @@ def train_model(model: Model, train_loader: BatchLoader,
             opt.step()
             losses.append(value)
 
-        report = evaluate(model, val_loader)
+        try:
+            report = evaluate(model, val_loader)
+        except NonFiniteLogitsError as e:
+            raise NonFiniteLogitsError(epoch, e.batch, e.value) from None
         row = {"epoch": epoch, "train_loss": float(np.mean(losses))}
         for m in METRIC_NAMES:
             row[f"val_{m}"] = getattr(report, m)

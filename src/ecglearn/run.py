@@ -61,6 +61,11 @@ def prepare_run_dir(cfg: RunConfig, name_hint: str) -> Path:
     return out
 
 
+def _check_manifest(cfg: RunConfig) -> None:
+    if not cfg.manifest:
+        raise ConfigError("no dataset: set manifest in the config or pass --data")
+
+
 class ResolvedData:
     def __init__(self, cfg: RunConfig):
         self.manifest: DatasetManifest = load_manifest(cfg.manifest)
@@ -113,6 +118,7 @@ def _run(cfg: RunConfig, log, checkpoint_path=None, mode=None
     directory), a free run directory, the splits, records, model, loss and
     train and val loaders are made; the test loader is built after training.
     """
+    _check_manifest(cfg)
     ckpt = None if checkpoint_path is None else load_checkpoint(checkpoint_path)
     if ckpt is None:
         run_dir = _free_run_dir(cfg, f"train-{cfg.model.architecture}")
@@ -178,6 +184,7 @@ def run_finetune(cfg: RunConfig, checkpoint_path: str | Path,
 def run_evaluate(checkpoint_path: str | Path, cfg: RunConfig,
                  split: str = "test") -> dict:
     """Evaluate a checkpoint on a dataset split; returns the report dict."""
+    _check_manifest(cfg)
     ckpt = load_checkpoint(checkpoint_path)
     data = ResolvedData(cfg)
     if ckpt.spec.task != data.manifest.task:
@@ -197,6 +204,7 @@ def run_sweep(base_cfg: RunConfig, grid: dict[str, list], log=None) -> Path:
     subdirectory. Failures are recorded in the leaderboard and the sweep
     continues. The leaderboard is sorted by best validation F1, descending.
     """
+    _check_manifest(base_cfg)
     if not isinstance(grid, dict) or not grid:
         raise ConfigError(f"sweep grid must be a non-empty object, got {grid!r}")
     for key, values in grid.items():

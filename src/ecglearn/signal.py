@@ -5,6 +5,12 @@ baseline-wander and power-line suppression, length regularization, random or
 deterministic segment extraction, and per-lead normalization. All functions
 are pure: they return new records and never mutate their inputs.
 
+A record read from a file is a ``QuantizedRecord``: it keeps the file's int16
+samples with each lead's gain and baseline, and its ``signal`` is a fresh
+float64 decode on every read. The segment cuts decode only the window they
+cut, so drawing a segment never decodes a whole record. Every function that
+returns a record returns a float64 ``EcgRecord``.
+
 The bandpass is a Butterworth IIR designed from the analog prototype via the
 bilinear transform with frequency pre-warping, applied forward-backward
 (zero-phase) so waveform morphology is not time-shifted. The effective
@@ -40,7 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .dataio.labels import LabelVector
 
 __all__ = [
-    "N_LEADS", "EcgRecord", "FilterSpec", "SegmentSpec", "NormalizationMethod",
+    "N_LEADS", "EcgRecord", "QuantizedRecord", "FilterSpec", "SegmentSpec",
+    "NormalizationMethod",
     "design_butterworth_bandpass", "sosfilt", "filtfilt_sos",
     "butterworth_bandpass", "analytic_bandpass_gain",
     "draw_segment_start", "segment_extract", "extract_segment_at",
@@ -71,24 +78,75 @@ class EcgRecord:
 
     def __post_init__(self):
         self.signal = np.asarray(self.signal, dtype=np.float64)
-        if self.signal.ndim != 2 or self.signal.shape[0] != N_LEADS:
+        self._check_shape(self.signal.shape)
+        if not np.all(np.isfinite(self.signal)):
+            raise SignalError(f"record {self.id!r}: signal contains NaN/Inf")
+
+    def _check_shape(self, shape: tuple) -> None:
+        if len(shape) != 2 or shape[0] != N_LEADS:
             raise SignalError(
                 f"record {self.id!r}: expected [{N_LEADS}, m] signal, "
-                f"got shape {self.signal.shape}")
-        if self.signal.shape[1] < 1:
+                f"got shape {shape}")
+        if shape[1] < 1:
             raise SignalError(f"record {self.id!r}: empty signal")
         if not (math.isfinite(self.fs) and self.fs > 0):
             raise SignalError(
                 f"record {self.id!r}: fs must be finite and positive, got {self.fs}")
-        if not np.all(np.isfinite(self.signal)):
-            raise SignalError(f"record {self.id!r}: signal contains NaN/Inf")
 
     @property
     def n_samples(self) -> int:
         return self.signal.shape[1]
 
+    def window(self, s: int, l: int) -> np.ndarray:
+        """A fresh C-contiguous float64 copy of samples [s, s+l) of every lead."""
+        return self.signal[:, s:s + l].copy()
+
     def with_signal(self, signal: np.ndarray) -> "EcgRecord":
         return EcgRecord(signal=signal, fs=self.fs, id=self.id, labels=self.labels)
+
+
+class QuantizedRecord(EcgRecord):
+    """A record as its file holds it: C-contiguous int16 ADC samples [12, m]
+    and a gain and baseline per lead, millivolts = (sample - baseline) / gain.
+
+    Nothing else is kept: 2 bytes a sample against a float64 signal's 8.
+    ``signal`` and ``window`` decode on every call into a fresh float64
+    array, so mutating what they return changes nothing. A window decodes
+    only its own samples, bit-identically to slicing the full decode.
+    """
+
+    def __init__(self, samples: np.ndarray, gain, baseline, fs: float,
+                 id: str = "", labels: Optional["LabelVector"] = None):
+        self.samples = np.ascontiguousarray(samples, dtype=np.int16)
+        self.gain = np.asarray(gain, dtype=np.float64).reshape(-1, 1)
+        self.baseline = np.asarray(baseline, dtype=np.float64).reshape(-1, 1)
+        self.fs, self.id, self.labels = fs, id, labels
+        self._check_shape(self.samples.shape)
+
+    @property
+    def signal(self) -> np.ndarray:
+        return self.window(0, self.n_samples)
+
+    @property
+    def n_samples(self) -> int:
+        return self.samples.shape[1]
+
+    def window(self, s: int, l: int) -> np.ndarray:
+        x = np.subtract(self.samples[:, s:s + l], self.baseline, dtype=np.float64)
+        x /= self.gain
+        return x
+
+
+def _check_band(order: int, low_cut: float, high_cut: float) -> None:
+    """The bandpass rules that need no sampling rate: order >= 1 and finite
+    band edges with 0 < low_cut < high_cut."""
+    if order < 1:
+        raise SignalError(f"filter order must be >= 1, got {order}")
+    if not 0 < low_cut < high_cut:
+        raise SignalError(
+            f"need 0 < low_cut < high_cut, got {low_cut}, {high_cut}")
+    if not math.isfinite(high_cut):
+        raise SignalError(f"high_cut must be finite, got {high_cut}")
 
 
 @dataclass(frozen=True)
@@ -101,11 +159,7 @@ class FilterSpec:
     high_cut: float = 45.0
 
     def __post_init__(self):
-        if self.order < 1:
-            raise SignalError(f"filter order must be >= 1, got {self.order}")
-        if not 0 < self.low_cut < self.high_cut:
-            raise SignalError(
-                f"need 0 < low_cut < high_cut, got {self.low_cut}, {self.high_cut}")
+        _check_band(self.order, self.low_cut, self.high_cut)
         if not math.isfinite(self.fs):
             raise SignalError(f"fs must be finite, got {self.fs}")
         if self.fs <= 2 * self.high_cut:
@@ -416,7 +470,7 @@ def draw_segment_start(m: int, l: int, rng: np.random.Generator) -> SegmentSpec:
 def extract_segment_at(record: EcgRecord, s: int, l: int) -> EcgRecord:
     """Deterministic cut [s, s+l) applied identically to all leads."""
     seg = SegmentSpec(l=l, s=s, m=record.n_samples)
-    return record.with_signal(record.signal[:, seg.s:seg.s + seg.l].copy())
+    return record.with_signal(record.window(seg.s, seg.l))
 
 
 def segment_extract(record: EcgRecord, l: int, rng: np.random.Generator) -> EcgRecord:

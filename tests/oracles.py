@@ -1,4 +1,5 @@
 """Brute-force reference implementations used to verify the metric suite,
+the AUC's tie-group loop from before its groups came from value boundaries,
 the bandpass filter and the backward passes of the strided window ops, plus
 the forward passes of those ops from before they shared one windowing
 prologue and one graph node per call, the per-input finite-difference loop
@@ -7,8 +8,10 @@ that ``gradcheck`` ran before it became the one-tensor case of
 shared one forward and backward, relu from before it became fmax plus an
 in-place +0, and the logistic and the recurrent unroll from before the
 logistic dropped its boolean masks and the unroll became one cell loop,
-and the record path (segment cuts, padding, per-lead normalization and the
-two synthetic generators) from before each of its steps was written once.
+the record path (segment cuts, padding, per-lead normalization and the
+two synthetic generators) from before each of its steps was written once,
+and the whole-record float64 decode that a read record held before records
+kept their 16-bit samples.
 
 Deliberately written with explicit python loops and none of the library's
 vectorized machinery, so agreement is meaningful. Conventions match the
@@ -19,6 +22,7 @@ order; AUC counts pairwise wins with ties worth 1/2; undefined AP/AUC
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -88,6 +92,31 @@ def oracle_auc(scores_col, tgt_col):
             elif sp == sn:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def oracle_auc_tie_loop(scores, targets):
+    """``auc_score`` from before its tie groups came from value boundaries:
+    a loop that scans each group, ranks it (i + 1 + j) / 2 and sums the
+    positives' ranks. Finite scores only: a NaN never ends its group."""
+    targets = np.asarray(targets)
+    n = len(targets)
+    n_pos = int(targets.sum())
+    n_neg = n - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return None
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(scores, kind="stable")
+    svals = scores[order]
+    ranks = np.empty(n, dtype=np.float64)
+    i = 0
+    while i < n:
+        j = i
+        while j < n and svals[j] == svals[i]:
+            j += 1
+        ranks[order[i:j]] = (i + 1 + j) / 2.0
+        i = j
+    rank_sum = float(ranks[targets == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def oracle_report(scores, targets, kind="multilabel", threshold=0.5):
@@ -605,6 +634,24 @@ def oracle_unroll(x: Tensor, layer_weights: list[dict], kind: str,
 # and manifest. The generators keep their per-record generation
 # (``_base_ecg`` and ``_make_record``); they share the library's label rows,
 # folds and signature frequencies.
+
+
+def oracle_decode_wfdb(header_path) -> np.ndarray:
+    """The [12, m] float64 millivolts ``load_wfdb_record`` held before a
+    read record kept its samples: the frame-interleaved file decoded whole as
+    (raw - baseline) / gain. Reads only well-formed headers."""
+    header_path = Path(header_path)
+    lines = header_path.read_text().splitlines()
+    m = int(lines[0].split()[3])
+    gains, baselines = [], []
+    for ln in lines[1:1 + N_LEADS]:
+        gain, _, baseline = ln.split()[2].split("/")[0].partition("(")
+        gains.append(float(gain))
+        baselines.append(int(baseline.rstrip(")") or 0))
+    dat_path = header_path.parent / lines[1].split()[0]
+    raw = np.fromfile(dat_path, dtype="<i2").reshape(m, N_LEADS).T
+    return (raw.astype(np.float64) - np.asarray(baselines)[:, None]) \
+        / np.asarray(gains)[:, None]
 
 
 def oracle_extract_segment_at(record: EcgRecord, s: int, l: int) -> EcgRecord:

@@ -2,20 +2,25 @@
 
 import csv
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 from ecglearn.cli import main
-from ecglearn.config import RunConfig, config_to_dict
+from ecglearn.config import (FilterConfig, RunConfig, config_from_dict,
+                             config_to_dict)
 from ecglearn.errors import ConfigError
-from ecglearn.run import run_sweep
+from ecglearn.run import run_evaluate, run_sweep, run_train
+from ecglearn.signal import FilterSpec
 from ecglearn.transfer import save_checkpoint
 from test_dataio import (MALFORMED_HEADERS, MALFORMED_LABELS_CSV,
                          MALFORMED_MANIFEST, MALFORMED_META, corrupt_manifest,
                          corrupt_meta, write_import_source,
                          write_malformed_record)
+from test_metrics import time_limit
 from test_transfer import (ADAPT_HEAD_REFUSES, MALFORMED_CKPT_HEADERS,
                            MISMATCHED_TENSOR_TABLES, mismatched_checkpoint,
                            rewrite_header, trained_small_model)
@@ -91,7 +96,14 @@ TRAIN_REFUSALS = {
                          "split 'test' (folds [11]) selects no records"),
     "segment-len-zero": (set_args(["preprocess.segment_len=0"]),
                          set_args(["preprocess.segment_len=96"]),
-                         "segment_len must be >= 1, got 0"),
+                         "preprocess: segment_len must be >= 1, got 0"),
+    "filter-order-zero": (set_args(["preprocess.filter.order=0"]),
+                          set_args(["preprocess.filter.order=2"]),
+                          "preprocess.filter: filter order must be >= 1, got 0"),
+    "low-cut-above-high-cut": (set_args(["preprocess.filter.low_cut=50.0"]),
+                               set_args(["preprocess.filter.low_cut=1.0"]),
+                               "preprocess.filter: need 0 < low_cut < high_cut, "
+                               "got 50.0, 45.0"),
     "seed-negative": (["--seed", "-1"], ["--seed", "1"],
                       "seed must be a non-negative integer, got -1"),
     # the dataset holds no class-c1 record in a train fold
@@ -317,6 +329,42 @@ class TestTrain:
         assert sorted(tmp_path.rglob("*")) == before
         assert out.read_text() == "x"
 
+    @pytest.mark.parametrize("verb", ["train", "sweep", "evaluate"])
+    def test_no_dataset_is_refused(self, tmp_path, verb, capsys):
+        argv = [verb]
+        if verb == "sweep":
+            grid = tmp_path / "grid.json"
+            grid.write_text(json.dumps({"optimizer.lr": [0.001]}))
+            argv += ["--grid", grid]
+        if verb == "evaluate":
+            argv += ["--checkpoint", tmp_path / "no.ckpt"]
+        assert cli(*argv, "--out", tmp_path / "run") == 2
+        assert capsys.readouterr().err == (
+            "error: no dataset: set manifest in the config or pass --data\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_library_run_names_an_unset_manifest(self, tmp_path):
+        cfg = RunConfig(out_dir=str(tmp_path / "run"))
+        for call in (lambda: run_train(cfg),
+                     lambda: run_evaluate(tmp_path / "no.ckpt", cfg)):
+            with pytest.raises(ConfigError, match="manifest"):
+                call()
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_validation_exits_one(self, tmp_path, capsys):
+        # the training loss stays finite while the validation logits are NaN
+        data = tmp_path / "small"
+        assert cli("prepare", "--out", data, "--synthetic", "--per-class", 10,
+                   "--length", 400) == 0
+        cfg = write_config(tmp_path, data)
+        with time_limit(60):
+            rc = cli("train", "--config", cfg, "--set", "preprocess.segment_len=256",
+                     "--lr", 1e12, "--batch-size", 32, "--out", tmp_path / "run")
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: non-finite logit nan in evaluation batch 0 after epoch 1\n")
+
     def test_snapshot_rerun_reproduces_history(self, tmp_path, dataset):
         cfg = write_config(tmp_path, dataset)
         run_a = tmp_path / "runA"
@@ -326,6 +374,35 @@ class TestTrain:
         assert cli("train", "--config", snapshot, "--out", run_b) == 0
         assert (run_a / "history.csv").read_bytes() == \
                (run_b / "history.csv").read_bytes()
+
+
+class TestPreprocessConfig:
+    @pytest.mark.parametrize("preprocess, message", [
+        ({"filter": {"order": 0, "low_cut": 50.0}, "segment_len": 0},
+         "preprocess.filter: filter order must be >= 1, got 0"),
+        ({"filter": {"low_cut": 50.0}},
+         "preprocess.filter: need 0 < low_cut < high_cut, got 50.0, 45.0"),
+        ({"filter": {"low_cut": math.nan}}, "preprocess.filter: need 0 < low_cut"),
+        ({"filter": {"high_cut": math.inf}},
+         "preprocess.filter: high_cut must be finite, got inf"),
+        ({"segment_len": 0}, "preprocess: segment_len must be >= 1, got 0"),
+        ({"max_len": 0}, "preprocess: max_len must be >= 1, got 0"),
+    ], ids=["order-zero", "low-above-high", "low-nan", "high-inf",
+            "segment-len-zero", "max-len-zero"])
+    def test_refused_when_read(self, tmp_path, preprocess, message):
+        data = {"manifest": str(tmp_path / "absent"), "preprocess": preprocess}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(RunConfig, data)
+
+    def test_max_len_may_be_null(self):
+        cfg = config_from_dict(RunConfig, {"preprocess": {"max_len": None}})
+        assert cfg.preprocess.max_len is None
+
+    def test_filter_defaults_are_filter_specs(self):
+        spec = FilterSpec(fs=500.0)
+        assert vars(FilterConfig()) == {"order": spec.order,
+                                        "low_cut": spec.low_cut,
+                                        "high_cut": spec.high_cut}
 
 
 class TestFinetuneAndVerify:

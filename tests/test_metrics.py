@@ -3,14 +3,17 @@ cases, randomized agreement, and invariances."""
 
 import itertools
 import math
+import signal
+import struct
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from ecglearn.dataio import TaskKind
-from ecglearn.errors import DataError
+from ecglearn.errors import DataError, EcglearnError
 from ecglearn.learn import auc_score, average_precision, compute_metrics
-from oracles import oracle_ap, oracle_auc, oracle_report
+from oracles import oracle_ap, oracle_auc, oracle_auc_tie_loop, oracle_report
 
 BINARIZED = ("accuracy", "f1", "sensitivity", "specificity", "ppv", "gmean")
 
@@ -187,6 +190,59 @@ class TestInvariances:
         b = compute_metrics(warped, targets, TaskKind.MULTILABEL)
         for m in BINARIZED:
             assert getattr(a, m) == getattr(b, m)
+
+
+# scores with a non-finite entry: (scores, targets), one class
+NON_FINITE_SCORES = {
+    "nan-first": ([math.nan, 0.5], [1, 0]),
+    "nan-tied": ([0.5, math.nan, 0.5, math.nan], [1, 0, 0, 1]),
+    "all-nan": ([math.nan] * 3, [1, 0, 1]),
+    "pos-inf": ([math.inf, 0.2, math.inf, 0.1], [1, 0, 0, 1]),
+    "neg-inf": ([-math.inf, 0.2, -math.inf], [0, 1, 1]),
+    "mixed": ([math.inf, math.nan, -math.inf, 0.0, math.nan], [1, 1, 0, 0, 1]),
+}
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the main thread after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("fn", [auc_score, average_precision,
+                                    lambda s, t: compute_metrics(
+                                        s[:, None], t[:, None], TaskKind.BINARY)],
+                             ids=["auc", "ap", "compute_metrics"])
+    @pytest.mark.parametrize("case", sorted(NON_FINITE_SCORES))
+    def test_returns_or_refuses_in_time(self, fn, case):
+        scores, targets = (np.array(v) for v in NON_FINITE_SCORES[case])
+        with time_limit(5):
+            try:
+                fn(scores.astype(np.float64), targets)
+            except EcglearnError:
+                pass
+
+    def test_finite_scores_give_the_same_auc_bytes(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            scores = rng.integers(0, 4, size=n) * rng.choice([0.1, 1.0, 3.7])
+            targets = rng.integers(0, 2, size=n)
+            got, want = auc_score(scores, targets), oracle_auc_tie_loop(scores,
+                                                                        targets)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 class TestUndefinedClasses:

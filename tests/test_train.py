@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ecglearn.dataio import BatchLoader, TaskKind, generate_synthetic_dataset
-from ecglearn.errors import TrainingDivergedError
+from ecglearn.errors import NonFiniteLogitsError, TrainingDivergedError
 from ecglearn.learn import OptimizerConfig, evaluate, focal_loss, train_model
 from ecglearn.models import ModelSpec, build
 from ecglearn.tensor import Tensor
@@ -93,6 +93,46 @@ class TestDivergenceAbort:
         cfg = OptimizerConfig(lr=1e-3, batch_size=8, epochs=2, patience=5)
         with pytest.raises(TrainingDivergedError) as err:
             train_model(model, train, train_eval, poisoned_loss, cfg)
+        assert err.value.epoch == 1 and err.value.batch == 0
+
+
+def nan_in_eval_mode(model):
+    """Make every eval-mode forward return NaN logits; training is untouched."""
+    forward = model.forward
+
+    def poisoned(x):
+        out = forward(x)
+        if not model.training:
+            out.data[...] = np.nan
+        return out
+
+    model.forward = poisoned
+
+
+class TestNonFiniteLogits:
+    def test_evaluate_names_the_batch(self):
+        manifest, records = small_dataset(n_per_class=8)
+        _, train_eval = loaders(manifest, records, batch=8)
+        model = build(ModelSpec("ResNet18_1D", manifest.task, {"base_width": 4}),
+                      seed=5)
+        model.train_mode()          # populate batchnorm running stats
+        for xb, _ in train_eval.batches():
+            model.forward(Tensor(xb))
+        nan_in_eval_mode(model)
+        with pytest.raises(NonFiniteLogitsError, match="evaluation batch 0$") as err:
+            evaluate(model, train_eval)
+        assert err.value.epoch is None and err.value.batch == 0
+
+    def test_train_reports_validation_divergence(self):
+        manifest, records = small_dataset(n_per_class=8)
+        train, train_eval = loaders(manifest, records, batch=8)
+        model = build(ModelSpec("ResNet18_1D", manifest.task, {"base_width": 4}),
+                      seed=5)
+        nan_in_eval_mode(model)
+        cfg = OptimizerConfig(lr=1e-3, batch_size=8, epochs=2, patience=5)
+        with pytest.raises(TrainingDivergedError,
+                           match="evaluation batch 0 after epoch 1$") as err:
+            train_model(model, train, train_eval, focal_loss, cfg)
         assert err.value.epoch == 1 and err.value.batch == 0
 
 
