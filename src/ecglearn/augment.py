@@ -11,6 +11,11 @@ Augmentation is train-only: ``apply_augmentations`` with ``training=False``
 returns the record unchanged regardless of configuration. All randomness
 comes from the caller's generator, so a fixed seed reproduces the exact
 augmentation stream.
+
+No transform scans its output for NaN/Inf. Flip and the drops cannot make a
+finite signal non-finite, and the two additive transforms refuse a
+non-finite amplitude, frequency or phase; a sum that still overflows is
+caught where the batch is built (``BatchLoader``).
 """
 
 from __future__ import annotations
@@ -155,10 +160,23 @@ def _time_axis(record: EcgRecord) -> np.ndarray:
     return np.arange(record.n_samples) / record.fs
 
 
+def _wave_amplitude(name: str, amplitude, freq_hz: float,
+                    phase: float) -> np.ndarray:
+    """The amplitude as a [leads, 1] column, once amplitude, frequency and
+    phase are known to be finite, so the wave added to a signal is finite."""
+    amp = np.asarray(amplitude, dtype=np.float64).reshape(-1, 1)
+    if not (np.isfinite(amp).all() and math.isfinite(freq_hz)
+            and math.isfinite(phase)):
+        raise AugmentError(
+            f"{name}: amplitude, frequency and phase must be finite, got "
+            f"amplitude {amp.ravel().tolist()}, frequency {freq_hz}, phase {phase}")
+    return amp
+
+
 def square_pulse_sum(record: EcgRecord, amplitude, freq_hz: float,
                      phase: float) -> EcgRecord:
     """Add a square wave; amplitude may be scalar or per-lead [12]."""
-    amp = np.asarray(amplitude, dtype=np.float64).reshape(-1, 1)
+    amp = _wave_amplitude("square_pulse_sum", amplitude, freq_hz, phase)
     wave = np.where(np.sin(2 * np.pi * freq_hz * _time_axis(record) + phase) >= 0,
                     1.0, -1.0)
     return record.with_signal(record.signal + amp * wave)
@@ -167,7 +185,7 @@ def square_pulse_sum(record: EcgRecord, amplitude, freq_hz: float,
 def sine_sum(record: EcgRecord, amplitude, freq_hz: float,
              phase: float) -> EcgRecord:
     """Add a sinusoid; amplitude may be scalar or per-lead [12]."""
-    amp = np.asarray(amplitude, dtype=np.float64).reshape(-1, 1)
+    amp = _wave_amplitude("sine_sum", amplitude, freq_hz, phase)
     wave = np.sin(2 * np.pi * freq_hz * _time_axis(record) + phase)
     return record.with_signal(record.signal + amp * wave)
 

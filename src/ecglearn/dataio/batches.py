@@ -11,6 +11,11 @@ start-0 segments and no augmentation, so two passes yield identical tensors.
 A record read from a file stays int16 unless it is filtered or its length
 changes, and each draw decodes only the segment it cuts.
 
+A draw makes one pass per stage (cut, normalize, each transform that fires)
+and is written straight into its row of the batch's float32 array. The row
+is then checked for NaN/Inf once, which also catches a float64 value that
+overflows float32; the derived records in between are not rescanned.
+
 Every random draw comes from a substream keyed by (seed, purpose, epoch,
 record index), which makes the stream independent of iteration scheduling.
 """
@@ -24,7 +29,7 @@ import numpy as np
 from ..augment import AugmentConfig, apply_augmentations
 from ..errors import DataError
 from ..seeding import substream
-from ..signal import (EcgRecord, FilterSpec, NormalizationMethod,
+from ..signal import (N_LEADS, EcgRecord, FilterSpec, NormalizationMethod,
                       butterworth_bandpass, extract_segment_at,
                       normalize_array, pad_or_truncate, segment_extract)
 from .labels import TaskSpec
@@ -95,6 +100,7 @@ class BatchLoader:
         return (len(self.records) + self.batch_size - 1) // self.batch_size
 
     def _prepare_one(self, index: int, epoch: int) -> np.ndarray:
+        """Record ``index``'s float64 [12, l] window for ``epoch``."""
         rec = self.records[index]
         if self.training:
             rec = segment_extract(rec, self.segment_len,
@@ -107,14 +113,25 @@ class BatchLoader:
                 rec.with_signal(x), self.augment,
                 substream(self.seed, "augment", epoch, index), training=True)
             x = rec.signal
-        return x.astype(np.float32)
+        return x
 
     def batches(self, epoch: int = 0) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """One pass over the split; the final partial batch is emitted."""
+        """One pass over the split; the final partial batch is emitted.
+
+        A window that is not finite as float32 is a DataError naming its
+        record and the epoch.
+        """
         order = np.arange(len(self.records))
         if self.training:
             order = substream(self.seed, "shuffle", epoch).permutation(order)
         for start in range(0, len(order), self.batch_size):
             idx = order[start:start + self.batch_size]
-            x = np.stack([self._prepare_one(int(i), epoch) for i in idx])
+            x = np.empty((len(idx), N_LEADS, self.segment_len), dtype=np.float32)
+            for j, i in enumerate(idx.tolist()):
+                x[j] = self._prepare_one(i, epoch)
+                if not np.isfinite(x[j]).all():
+                    raise DataError(
+                        f"record {self.records[i].id!r}: window drawn in epoch "
+                        f"{epoch} holds NaN/Inf after normalization, "
+                        "augmentation and the float32 cast")
             yield x, self.targets[idx]

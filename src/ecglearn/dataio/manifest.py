@@ -74,7 +74,9 @@ def save_dataset(manifest: DatasetManifest, records: list[EcgRecord] | None,
     """Write meta.json + manifest.csv and, when given, the record files.
 
     Records are written under ``records/`` and the manifest rows are updated
-    with their relative header paths. A file at ``directory`` is a DataError.
+    with their relative header paths; any other ``.hea`` or ``.dat`` file
+    there, left by an earlier save, is deleted, so every record file is one
+    the new manifest names. A file at ``directory`` is a DataError.
     """
     directory = Path(directory)
     if directory.exists() and not directory.is_dir():
@@ -89,6 +91,11 @@ def save_dataset(manifest: DatasetManifest, records: list[EcgRecord] | None,
                 raise DataError(f"row/record id mismatch: {row.id!r} vs {rec.id!r}")
             write_wfdb_record(rec_dir / row.id, rec.signal, rec.fs, gain=gain)
             row.path = f"records/{row.id}.hea"
+        named = {row.id + ext for row in manifest.rows for ext in (".hea", ".dat")}
+        for path in rec_dir.iterdir() if rec_dir.is_dir() else ():
+            if path.suffix in (".hea", ".dat") and path.name not in named \
+                    and path.is_file():
+                path.unlink()
 
     meta = {"name": manifest.name, "fs": manifest.fs,
             "task": manifest.task.to_dict()}

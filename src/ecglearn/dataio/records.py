@@ -144,4 +144,8 @@ def load_wfdb_record(header_path: str | Path) -> QuantizedRecord:
             f"{dat_path.name}: expected {expected_bytes} bytes "
             f"({N_LEADS} signals x {m} samples x 2), found {actual_bytes}")
     raw = np.fromfile(dat_path, dtype="<i2").reshape(m, N_LEADS).T
-    return QuantizedRecord(raw, gains, baselines, fs=fs, id=name)
+    rec = QuantizedRecord(raw, gains, baselines, fs=fs, id=name)
+    # the header's ints, so no array is scanned: PTB-XL's baselines and
+    # those write_wfdb_record writes by default are all 0
+    rec._zero_baseline = not any(baselines)
+    return rec

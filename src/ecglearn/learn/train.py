@@ -70,6 +70,24 @@ def evaluate(model: Model, loader: BatchLoader,
                            class_names=loader.task.classes)
 
 
+def _step(model: Model, loss_fn: LossFn, opt: Adam, xb: np.ndarray,
+          yb: np.ndarray, epoch: int, bi: int) -> float:
+    """One optimizer step; returns the batch loss.
+
+    The step's graph dies with this call's locals, so the next forward and
+    the epoch-end evaluation never run beside it.
+    """
+    logits = model.forward(xb)
+    loss = loss_fn(logits, yb)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise TrainingDivergedError(epoch, bi, value)
+    model.zero_grad()
+    loss.backward()
+    opt.step()
+    return value
+
+
 def train_model(model: Model, train_loader: BatchLoader,
                 val_loader: BatchLoader, loss_fn: LossFn,
                 cfg: OptimizerConfig,
@@ -85,15 +103,7 @@ def train_model(model: Model, train_loader: BatchLoader,
         model.train_mode()
         losses = []
         for bi, (xb, yb) in enumerate(train_loader.batches(epoch)):
-            logits = model.forward(xb)
-            loss = loss_fn(logits, yb)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingDivergedError(epoch, bi, value)
-            model.zero_grad()
-            loss.backward()
-            opt.step()
-            losses.append(value)
+            losses.append(_step(model, loss_fn, opt, xb, yb, epoch, bi))
 
         try:
             report = evaluate(model, val_loader)

@@ -5,6 +5,15 @@ baseline-wander and power-line suppression, length regularization, random or
 deterministic segment extraction, and per-lead normalization. All functions
 are pure: they return new records and never mutate their inputs.
 
+A signal is checked for NaN/Inf where it can first become non-finite, not on
+every record derived from it: the ``EcgRecord(...)`` constructor scans what it
+is given, ``butterworth_bandpass`` scans each record it outputs (an IIR can
+overflow) and ``normalize`` scans its output. ``with_signal`` checks only the
+shape and the rate, so a derived record costs no pass over its samples.
+Cutting, padding and zeroing cannot make a finite signal non-finite; the
+augmentations check their own parameters, and ``BatchLoader`` checks every
+window it draws once, after its float32 cast.
+
 A record read from a file is a ``QuantizedRecord``: it keeps the file's int16
 samples with each lead's gain and baseline, and its ``signal`` is a fresh
 float64 decode on every read. The segment cuts decode only the window they
@@ -79,7 +88,10 @@ class EcgRecord:
     def __post_init__(self):
         self.signal = np.asarray(self.signal, dtype=np.float64)
         self._check_shape(self.signal.shape)
-        if not np.all(np.isfinite(self.signal)):
+        self._check_finite()
+
+    def _check_finite(self) -> None:
+        if not np.isfinite(self.signal).all():
             raise SignalError(f"record {self.id!r}: signal contains NaN/Inf")
 
     def _check_shape(self, shape: tuple) -> None:
@@ -102,7 +114,17 @@ class EcgRecord:
         return self.signal[:, s:s + l].copy()
 
     def with_signal(self, signal: np.ndarray) -> "EcgRecord":
-        return EcgRecord(signal=signal, fs=self.fs, id=self.id, labels=self.labels)
+        """A float64 ``EcgRecord`` with this record's rate, id and labels.
+
+        Only the shape and the rate are checked, not finiteness: the
+        functions that can turn a finite signal non-finite check their own
+        output (see the module docstring).
+        """
+        rec = EcgRecord.__new__(EcgRecord)
+        rec.signal = np.asarray(signal, dtype=np.float64)
+        rec.fs, rec.id, rec.labels = self.fs, self.id, self.labels
+        rec._check_shape(rec.signal.shape)
+        return rec
 
 
 class QuantizedRecord(EcgRecord):
@@ -113,7 +135,14 @@ class QuantizedRecord(EcgRecord):
     ``signal`` and ``window`` decode on every call into a fresh float64
     array, so mutating what they return changes nothing. A window decodes
     only its own samples, bit-identically to slicing the full decode.
+
+    Gains and baselines are taken as given; ``load_wfdb_record`` checks them
+    when it parses the header, and sets ``_zero_baseline`` when every
+    baseline there is 0. A decode then skips the subtraction, which is
+    exact: s - 0.0 == s for every sample s.
     """
+
+    _zero_baseline = False
 
     def __init__(self, samples: np.ndarray, gain, baseline, fs: float,
                  id: str = "", labels: Optional["LabelVector"] = None):
@@ -132,6 +161,8 @@ class QuantizedRecord(EcgRecord):
         return self.samples.shape[1]
 
     def window(self, s: int, l: int) -> np.ndarray:
+        if self._zero_baseline:
+            return np.divide(self.samples[:, s:s + l], self.gain, dtype=np.float64)
         x = np.subtract(self.samples[:, s:s + l], self.baseline, dtype=np.float64)
         x /= self.gain
         return x
@@ -422,7 +453,8 @@ def butterworth_bandpass(record: EcgRecord | Sequence[EcgRecord],
     time-major pass, up to ``_BANDPASS_CHUNK`` records at a time, and each
     filters bit-identically to filtering it alone. Every output signal is a
     C-contiguous array of its own. All records must be sampled at
-    ``spec.fs`` (default: the first record's rate).
+    ``spec.fs`` (default: the first record's rate). An output that overflows
+    to NaN/Inf is a SignalError naming its record.
     """
     single = isinstance(record, EcgRecord)
     records = [record] if single else list(record)
@@ -452,6 +484,7 @@ def butterworth_bandpass(record: EcgRecord | Sequence[EcgRecord],
             for j, i in enumerate(chunk):
                 lanes = y[:, j * N_LEADS:(j + 1) * N_LEADS]
                 out[i] = records[i].with_signal(lanes.T.copy())
+                out[i]._check_finite()
     return out[0] if single else out
 
 
@@ -498,7 +531,8 @@ def normalize_array(x: np.ndarray, method: NormalizationMethod) -> np.ndarray:
 
     Degenerate denominators (constant, all-zero, or zero-IQR leads, which
     zero-padding makes reachable) produce all-zero output instead of blowing
-    up; the centered numerator is zero in those cases anyway.
+    up; the centered numerator is zero in those cases anyway. The output is
+    always a fresh array; ``x`` is never written.
     """
     x = np.asarray(x, dtype=np.float64)
     try:
@@ -522,10 +556,20 @@ def normalize_array(x: np.ndarray, method: NormalizationMethod) -> np.ndarray:
         num = x - np.median(x, axis=1, keepdims=True)
         den = q75 - q25
     else:
-        num = x
         den = np.linalg.norm(x, axis=1, keepdims=True)
-    return np.divide(num, den, out=np.zeros_like(num), where=den > _EPS)
+        num = x.copy()
+    # every kept lead gets the plain IEEE divide; a degenerate one (den NaN
+    # or <= _EPS) divides by 1 and is then zeroed
+    ok = den > _EPS
+    num /= np.where(ok, den, 1.0)
+    if not ok.all():
+        num[~ok[:, 0]] = 0.0
+    return num
 
 
 def normalize(record: EcgRecord, method: NormalizationMethod) -> EcgRecord:
-    return record.with_signal(normalize_array(record.signal, method))
+    """``normalize_array`` on a record; an output that overflows to NaN/Inf
+    is a SignalError naming the record."""
+    out = record.with_signal(normalize_array(record.signal, method))
+    out._check_finite()
+    return out

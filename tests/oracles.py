@@ -10,8 +10,10 @@ in-place +0, and the logistic and the recurrent unroll from before the
 logistic dropped its boolean masks and the unroll became one cell loop,
 the record path (segment cuts, padding, per-lead normalization and the
 two synthetic generators) from before each of its steps was written once,
-and the whole-record float64 decode that a read record held before records
-kept their 16-bit samples.
+the whole-record float64 decode that a read record held before records
+kept their 16-bit samples, and the loader's draw from before it made one
+pass per stage: a checked record at every stage, a masked normalizing
+divide, and a float32 copy per window stacked into the batch.
 
 Deliberately written with explicit python loops and none of the library's
 vectorized machinery, so agreement is meaningful. Conventions match the
@@ -33,8 +35,9 @@ from ecglearn.dataio.splits import stratified_kfold
 from ecglearn.dataio.synthetic import _LEAD_PROFILE, _label_rows, class_frequency
 from ecglearn.errors import AutodiffError, DataError, ShapeError, SignalError
 from ecglearn.seeding import substream
+from ecglearn.augment import apply_augmentations
 from ecglearn.signal import (_EPS, N_LEADS, EcgRecord, NormalizationMethod,
-                             SegmentSpec, draw_segment_start)
+                             QuantizedRecord, SegmentSpec, draw_segment_start)
 from ecglearn.tensor import GradcheckReport, Tensor, gru_cell, lstm_cell, no_grad
 from ecglearn.tensor.functional import concat
 
@@ -652,6 +655,52 @@ def oracle_decode_wfdb(header_path) -> np.ndarray:
     raw = np.fromfile(dat_path, dtype="<i2").reshape(m, N_LEADS).T
     return (raw.astype(np.float64) - np.asarray(baselines)[:, None]) \
         / np.asarray(gains)[:, None]
+
+
+def _oracle_window(record: EcgRecord, s: int, l: int) -> np.ndarray:
+    """Samples [s, s+l): a read record's window decoded with the baseline
+    subtracted whatever its value, or a slice copy of a float signal."""
+    if isinstance(record, QuantizedRecord):
+        x = np.subtract(record.samples[:, s:s + l], record.baseline,
+                        dtype=np.float64)
+        x /= record.gain
+        return x
+    return record.signal[:, s:s + l].copy()
+
+
+def oracle_loader_batches(loader, epoch: int = 0):
+    """The batches ``loader.batches(epoch)`` yielded when every stage of a
+    draw built a record checked for NaN/Inf: the cut, the normalized window
+    and each augmentation. Starts from ``loader.records``, which the loader
+    filtered and padded when it was built."""
+    l = loader.segment_len
+
+    def checked(rec, x):
+        return EcgRecord(signal=x, fs=rec.fs, id=rec.id, labels=rec.labels)
+
+    def prepare_one(index):
+        rec = loader.records[index]
+        s = 0
+        if loader.training:
+            s = draw_segment_start(rec.n_samples, l,
+                                   substream(loader.seed, "segment", epoch,
+                                             index)).s
+        rec = checked(rec, _oracle_window(rec, s, l))
+        x = oracle_normalize_array(rec.signal, loader.normalization)
+        if loader.training and loader.augment is not None:
+            rec = apply_augmentations(
+                checked(rec, x), loader.augment,
+                substream(loader.seed, "augment", epoch, index), training=True)
+            x = checked(rec, rec.signal).signal
+        return x.astype(np.float32)
+
+    order = np.arange(len(loader.records))
+    if loader.training:
+        order = substream(loader.seed, "shuffle", epoch).permutation(order)
+    for start in range(0, len(order), loader.batch_size):
+        idx = order[start:start + loader.batch_size]
+        yield (np.stack([prepare_one(int(i)) for i in idx]),
+               loader.targets[idx])
 
 
 def oracle_extract_segment_at(record: EcgRecord, s: int, l: int) -> EcgRecord:

@@ -81,6 +81,29 @@ class TestIndividualTransforms:
             lead_drop(rec, 12, np.random.default_rng(0))
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestAdditiveParameterChecks:
+    """The additive transforms refuse a non-finite parameter, since no
+    record they return is scanned for NaN/Inf."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("param", ["amplitude", "lead amplitude",
+                                       "freq_hz", "phase"])
+    @pytest.mark.parametrize("transform", [square_pulse_sum, sine_sum])
+    def test_non_finite_parameter_refused(self, transform, param, bad):
+        args = {"amplitude": 0.1, "freq_hz": 2.0, "phase": 0.5}
+        if param == "lead amplitude":
+            args["amplitude"] = np.full(12, 0.1)
+            args["amplitude"][5] = bad
+        else:
+            args[param] = bad
+        with pytest.raises(AugmentError, match=f"{transform.__name__}: "
+                           "amplitude, frequency and phase must be finite"):
+            transform(make_record(8, n=64), **args)
+
+
 class TestConfigValidation:
     def test_probability_bounds(self):
         with pytest.raises(AugmentError, match="probability"):

@@ -131,6 +131,16 @@ class TestPrepare:
         assert "927 records" in out
         assert "fold 10: 103" in out
 
+    def test_saving_again_leaves_no_unreferenced_record(self, tmp_path):
+        for per_class in (12, 10):
+            assert cli("prepare", "--out", tmp_path / "d", "--synthetic",
+                       "--per-class", per_class, "--length", 200) == 0
+        files = sorted(p.name for p in (tmp_path / "d" / "records").iterdir())
+        rows = (tmp_path / "d" / "manifest.csv").read_text().splitlines()[1:]
+        assert len(files) == 40 and len(rows) == 20
+        assert files == sorted(f"{row.split(',')[0]}{ext}" for row in rows
+                               for ext in (".hea", ".dat"))
+
     def test_missing_mode_is_config_error(self, tmp_path):
         assert cli("prepare", "--out", tmp_path / "d") == 2
 

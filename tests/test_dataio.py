@@ -19,6 +19,7 @@ from ecglearn.dataio.synthetic import class_frequency
 from ecglearn.augment import AugmentConfig
 from ecglearn.config import RunConfig, config_from_dict, config_to_dict
 from ecglearn.errors import ConfigError, DataError, SplitError
+from ecglearn.seeding import substream
 from ecglearn.signal import EcgRecord, FilterSpec, design_butterworth_bandpass
 from oracles import (oracle_bandpass, oracle_generate_imbalanced_binary,
                      oracle_generate_synthetic_dataset)
@@ -555,6 +556,33 @@ class TestBatchLoader:
                         normalization=normalization)
         for name in ("minmax", "zscore", "rscale", "logscale", "l2"):
             assert name in str(err.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e300])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_non_finite_window_names_record_and_epoch(self, monkeypatch,
+                                                      training, value):
+        # 1e300 is finite as float64 and overflows the float32 batch
+        import ecglearn.dataio.batches as batches_module
+        normalize_array = batches_module.normalize_array
+
+        def poisoned(x, method):
+            out = normalize_array(x, method)
+            if poisoned.calls == 5:
+                out[2, 7] = value
+            poisoned.calls += 1
+            return out
+
+        poisoned.calls = 0
+        monkeypatch.setattr(batches_module, "normalize_array", poisoned)
+        loader = self.make_loader(training=training, n=5, batch=3)
+        epoch = 3 if training else 0
+        order = list(range(10))
+        if training:
+            order = substream(0, "shuffle", epoch).permutation(10).tolist()
+        with np.errstate(over="ignore"), pytest.raises(DataError, match=(
+                f"record {loader.records[order[5]].id!r}: window drawn in epoch "
+                f"{epoch} holds NaN/Inf")):
+            list(loader.batches(epoch))
 
     def test_empty_split_rejected(self):
         task = TaskSpec(kind=TaskKind.BINARY, classes=("positive",))

@@ -7,15 +7,18 @@ import filecmp
 import numpy as np
 import pytest
 
-from ecglearn.augment import AugmentConfig
+from ecglearn.augment import (AdditiveConfig, AugmentConfig, FlipConfig,
+                              LeadDropConfig, RandomDropConfig)
 from ecglearn.dataio import (BatchLoader, DatasetManifest, LabelVector,
                              ManifestRow, TaskKind, TaskSpec,
                              generate_synthetic_dataset, load_manifest,
                              load_records, load_wfdb_record, save_dataset,
                              write_wfdb_record)
-from ecglearn.signal import (EcgRecord, FilterSpec, QuantizedRecord,
-                             extract_segment_at, segment_extract)
-from oracles import oracle_decode_wfdb, oracle_segment_extract
+from ecglearn.signal import (EcgRecord, FilterSpec, NormalizationMethod,
+                             QuantizedRecord, extract_segment_at,
+                             segment_extract)
+from oracles import (oracle_decode_wfdb, oracle_loader_batches,
+                     oracle_segment_extract)
 
 FS = 500.0
 TASK = TaskSpec(kind=TaskKind.BINARY, classes=("positive",))
@@ -149,6 +152,81 @@ class TestLoaderOverReadRecords:
         assert all(isinstance(r, QuantizedRecord) for r in loader.records)
         list(loader.batches(1))
         assert decoded == [128] * 3
+
+
+def degenerate_raw(lengths, seed):
+    """int16 samples [12, m] per length. In the first record lead 3 is
+    constant and lead 8 (baseline 0) is all zero, so both normalize through
+    the degenerate-denominator branch; a record shorter than the segment
+    length is mostly zero padding once padded, so its leads have zero IQR."""
+    rng = np.random.default_rng(seed)
+    raws = [rng.integers(-3000, 3000, size=(12, m), dtype=np.int16)
+            for m in lengths]
+    raws[0][3] = 77
+    raws[0][8] = 0
+    return raws
+
+
+@pytest.fixture(scope="module")
+def record_kinds(tmp_path_factory):
+    """The same samples as records read with each lead's own gain and
+    baseline (some 0, most not), read with every baseline 0, and as float
+    records."""
+    lengths = [600, 600, 100, 480, 450, 600, 300]
+    tmp = tmp_path_factory.mktemp("kinds")
+    kinds = {"baselines": [], "zero-baseline": [], "float": []}
+    for i, raw in enumerate(degenerate_raw(lengths, seed=12)):
+        labels = LabelVector(TASK, [i % 2])
+        for kind, baselines in (("baselines", BASELINES),
+                                ("zero-baseline", (0,) * 12)):
+            rec = load_wfdb_record(write_raw_record(tmp / kind / f"r{i}", raw,
+                                                    baselines=baselines))
+            rec.id, rec.labels = f"r{i}", labels
+            kinds[kind].append(rec)
+        kinds["float"].append(EcgRecord(kinds["zero-baseline"][-1].signal, FS,
+                                        f"r{i}", labels))
+    return kinds
+
+
+EVERY_TRANSFORM = AugmentConfig(
+    flip=FlipConfig(p=1.0), random_drop=RandomDropConfig(p=1.0),
+    lead_drop=LeadDropConfig(p=1.0), square_pulse=AdditiveConfig(p=1.0),
+    sine=AdditiveConfig(p=1.0))
+
+
+class TestLoaderMatchesOracle:
+    """``batches()`` against the draw that built a checked record at every
+    stage (``oracles.oracle_loader_batches``), byte for byte."""
+
+    def test_baseline_flag_follows_the_header(self, record_kinds):
+        assert not any(r._zero_baseline for r in record_kinds["baselines"])
+        assert all(r._zero_baseline for r in record_kinds["zero-baseline"])
+
+    @pytest.mark.parametrize("method", list(NormalizationMethod))
+    @pytest.mark.parametrize("filtered", [False, True])
+    @pytest.mark.parametrize("kind", ["baselines", "zero-baseline", "float"])
+    def test_batches(self, record_kinds, kind, filtered, method):
+        modes = [(False, None), (True, None), (True, AugmentConfig()),
+                 (True, EVERY_TRANSFORM)]
+        for max_len in (None, 500):          # 500 truncates the 600s
+            for training, augment in modes:
+                loader = BatchLoader(
+                    record_kinds[kind], TASK, batch_size=3, segment_len=256,
+                    normalization=method, max_len=max_len, augment=augment,
+                    filter_spec=FilterSpec(fs=FS) if filtered else None,
+                    seed=6, training=training)
+                for epoch in (0, 1, 2):
+                    got = list(loader.batches(epoch))
+                    want = list(oracle_loader_batches(loader, epoch))
+                    assert len(got) == len(want) == 3
+                    for (xa, ya), (xb, yb) in zip(got, want):
+                        assert xa.dtype == np.float32 and xa.flags.c_contiguous
+                        assert xa.shape == xb.shape
+                        assert xa.tobytes() == xb.tobytes()
+                        assert ya.tobytes() == yb.tobytes()
+                    if not training:
+                        # lead 8 of r0 is all zero under every method
+                        assert any((x == 0).all(axis=-1).any() for x, _ in got)
 
 
 class TestResave:

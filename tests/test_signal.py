@@ -473,6 +473,14 @@ class TestRecordPathMatchesOracle:
         assert normalize_array(x, method.value).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("method", list(NormalizationMethod))
+    def test_normalize_array_leaves_its_input_unchanged(self, method):
+        x = degenerate_leads()
+        before = x.tobytes()
+        got = normalize_array(x, method)
+        assert x.tobytes() == before
+        assert not np.shares_memory(got, x)
+
+    @pytest.mark.parametrize("method", list(NormalizationMethod))
     def test_normalize_array_takes_views_and_integers(self, method):
         x = degenerate_leads(n=301)
         view = x[:, 7:250:3]
@@ -527,6 +535,32 @@ class TestEcgRecordValidation:
     def test_lead_count_enforced(self):
         with pytest.raises(SignalError, match="expected \\[12, m\\]"):
             make_record(np.zeros((3, 100)))
+
+    def test_with_signal_checks_shape(self):
+        rec = make_record(np.zeros((12, 10)))
+        with pytest.raises(SignalError, match="expected \\[12, m\\]"):
+            rec.with_signal(np.zeros((3, 10)))
+        with pytest.raises(SignalError, match="empty signal"):
+            rec.with_signal(np.zeros((12, 0)))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_bandpass_overflow_refused(self, sign):
+        sig = np.full((12, 400), sign * 1e308)
+        sig[:, ::2] *= -1.0
+        rec = EcgRecord(sig, fs=500.0, id="huge")
+        with np.errstate(all="ignore"), \
+                pytest.raises(SignalError, match="'huge': signal contains NaN/Inf"):
+            butterworth_bandpass(rec)
+        with np.errstate(all="ignore"), pytest.raises(SignalError, match="'huge'"):
+            butterworth_bandpass([make_record(np.zeros((12, 400))), rec])
+
+    def test_normalize_overflow_refused(self):
+        sig = np.zeros((12, 8))
+        sig[:, 0], sig[:, 1] = 1e308, -1e308
+        rec = EcgRecord(sig, fs=500.0, id="huge")
+        with np.errstate(all="ignore"), \
+                pytest.raises(SignalError, match="'huge': signal contains NaN/Inf"):
+            normalize(rec, NormalizationMethod.MINMAX)
 
     def test_nonfinite_rejected(self):
         sig = np.zeros((12, 10))

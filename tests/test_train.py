@@ -1,5 +1,7 @@
 """Training loop: overfit harness, early stopping, determinism, divergence."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,41 @@ class TestDeterminism:
         assert hist_a == hist_b
         for name in state_a:
             assert np.array_equal(state_a[name], state_b[name]), name
+
+
+class TestOneGraphAtATime:
+    """A step's graph is gone before the next forward: no training forward
+    and no epoch-end evaluation runs beside an earlier step's graph."""
+
+    def run_once(self, watch: bool):
+        manifest, records = small_dataset(n_per_class=12)
+        train, train_eval = loaders(manifest, records, batch=8)   # 3 batches
+        model = build(ModelSpec("ResNet18_1D", manifest.task, {"base_width": 4}),
+                      seed=6)
+        steps, alive = [], []
+        if watch:
+            forward = model.forward
+
+            def watched(x):
+                alive.append(sum(ref() is not None for ref in steps))
+                out = forward(x)
+                if model.training:
+                    steps.append(weakref.ref(out.data))
+                return out
+
+            model.forward = watched
+        cfg = OptimizerConfig(lr=1e-3, batch_size=8, epochs=2, patience=5)
+        result = train_model(model, train, train_eval, focal_loss, cfg)
+        return result.history, model.state_dict(), steps, alive
+
+    def test_no_earlier_logits_alive_at_any_forward(self):
+        history, state, steps, alive = self.run_once(watch=True)
+        assert len(steps) == 6 and len(alive) == 12   # 2 x (3 train + 3 eval)
+        assert alive == [0] * 12
+        plain_history, plain_state, _, _ = self.run_once(watch=False)
+        assert history == plain_history
+        for name in state:
+            assert state[name].tobytes() == plain_state[name].tobytes(), name
 
 
 class TestDivergenceAbort:
